@@ -11,30 +11,30 @@
    - deflated power iteration vs full Jacobi for lambda_2,
    - logit transition-row construction and coupling steps.
 
-   Phase 1.5 times the multicore execution layer against the serial
-   kernels it replaces (same inputs, results checked for agreement):
-   chain materialisation, the all-starts TV sweep, mixing_time_all,
-   Monte Carlo empirical TV, and CFTP replicas. --jobs N picks the
-   pool size (default: the machine's recommended domain count, at
-   least 2).
+   The ablation phases race independent routes to the same result
+   and gate every pair on bit-identity. Each phase returns its timings
+   as Bench.Record values; one shared path prints them as a table,
+   appends them to the BENCH_HISTORY.json trajectory (see
+   `logitdyn bench history`) and exits 1 if any record lost its
+   correctness bit.
 
-   Phases 1.6 (CSR storage ablation) and 1.8 (push vs pull vs SpMM
-   kernel ablation) raced kernels that no longer exist; their last
-   results stay in the committed BENCH_csr.json and BENCH_spmm.json.
+   Phase 1.5 times the multicore execution layer against the serial
+   kernels it replaces: chain materialisation, the all-starts TV
+   sweep, mixing_time_all, Monte Carlo empirical TV, and CFTP
+   replicas.
 
    Phase 1.7 is the artifact-store ablation: the `logitdyn mixing`
    artifact pipeline (chain, stationary law, TV curve) is run cold and
    then warm against a fresh store, the decoded artifacts are checked
    bit-identical to the computed ones, and a killed-mid-grid sweep is
-   resumed through Sweep.map_cached. Timings land in BENCH_store.json.
+   resumed through Sweep.map_cached.
 
    Phase 1.9 is the daemon load bench: a logitdynd server is spun up
    on a private socket and (a) 8 clients race one same-chain mixing
    request each — answered serially vs through the server's coalesced
    panel sweep, gated on bit-identical replies — and (b) an open-loop
    sender offers requests at a fixed rate regardless of completions
-   and the p50/p99 response latencies and achieved throughput land in
-   BENCH_serve.json.
+   and times the p50/p99 response latencies.
 
    Phase 1.10 is the out-of-core segment ablation: a lazy cycle walk
    is packed into an on-disk segment (10^7 states in the full profile
@@ -42,47 +42,110 @@
    is run over the streaming kernels, mmap'd serial and pooled and in
    bounded-buffer stream mode with the peak RSS sampled. All arms are
    gated on bit-identity against the in-RAM SpMM kernels at overlap
-   sizes; timings land in BENCH_ooc.json.
+   sizes.
 
-   Pass --quick to shrink the experiment sweeps; pass --skip-micro to
-   print only the tables; pass --store-only, --serve-only, --ooc-only
-   or --family-only to run just that ablation (phase 1.11 is the
-   β-family one). *)
+   Phase 1.11 is the β-family ablation: per-point chains vs one
+   shared structure per β-grid.
+
+   Usage: main.exe [--quick] [--skip-micro] [--jobs N]. --quick
+   shrinks every workload; --skip-micro skips phase 2; --jobs N
+   (N >= 2) picks the pool size (default: the machine's recommended
+   domain count, at least 2). Any other argument exits 2. *)
 
 open Bechamel
 open Toolkit
 
-let quick = Array.exists (( = ) "--quick") Sys.argv
-let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
-let store_only = Array.exists (( = ) "--store-only") Sys.argv
-let serve_only = Array.exists (( = ) "--serve-only") Sys.argv
-let ooc_only = Array.exists (( = ) "--ooc-only") Sys.argv
-let family_only = Array.exists (( = ) "--family-only") Sys.argv
+let quick, skip_micro, jobs =
+  let usage = "usage: main.exe [--quick] [--skip-micro] [--jobs N]  (N >= 2)" in
+  let bad fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "%s\n%s\n" msg usage;
+        exit 2)
+      fmt
+  in
+  let rec parse ((quick, skip_micro, jobs) as acc) = function
+    | [] -> acc
+    | "--quick" :: rest -> parse (true, skip_micro, jobs) rest
+    | "--skip-micro" :: rest -> parse (quick, true, jobs) rest
+    | "--jobs" :: n :: rest -> (
+        match int_of_string_opt n with
+        | Some j when j >= 2 -> parse (quick, skip_micro, j) rest
+        | _ -> bad "--jobs expects an integer >= 2, got %S" n)
+    | [ "--jobs" ] -> bad "--jobs expects a value"
+    | arg :: _ -> bad "unknown argument %S" arg
+  in
+  parse
+    (false, false, Int.max 2 (Domain.recommended_domain_count ()))
+    (List.tl (Array.to_list Sys.argv))
 
-(* Every ablation snapshot leaves through the bench sink, which owns
-   the BENCH filenames: it writes the legacy snapshot atomically and
-   appends the migrated, provenance-stamped records to the
-   BENCH_HISTORY.json trajectory in one step. A snapshot the sink
-   cannot migrate is a bug in the writer above — fail the run. *)
-let record_snapshot ~label ~legacy_path json =
-  match Bench.Sink.record_run ~legacy_path json with
-  | Ok records ->
-      Printf.printf "%s recorded to %s (+%d trajectory records in %s)\n" label
-        legacy_path (List.length records) Bench.History.default_path
+(* --- Reporting: one table, one sink, one gate ---------------------------- *)
+
+type report = {
+  title : string;
+  records : Bench.Record.t list;
+  notes : string list;
+}
+
+(* One arm of an ablation. [vs] is the reference arm's seconds, so
+   [speedup = vs / seconds]; a reference arm omits it. A record that
+   fails validation (a zero-second arm's infinite speedup, say) is a
+   bug in the phase that measured it: fail the run. *)
+let record ?peak_rss_kb ?vs ~bench ~workload ~arm ~jobs ~correct seconds =
+  let speedup = match vs with Some ref_s -> ref_s /. seconds | None -> 1.0 in
+  match
+    Bench.Record.v ?peak_rss_kb ~bench ~workload ~arm ~seconds ~speedup ~correct
+      ~quick ~jobs ()
+  with
+  | Ok r -> r
   | Error msg ->
-      Printf.eprintf "FATAL: %s snapshot rejected by the bench sink: %s\n"
-        label msg;
+      Printf.eprintf "FATAL: %s/%s/%s: %s\n" bench workload arm msg;
       exit 1
 
-let jobs =
-  let rec find i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--jobs" then int_of_string_opt Sys.argv.(i + 1)
-    else find (i + 1)
+(* Print the phase's table, append its records to the trajectory, then
+   fail the run if any bit-identity gate failed — after the append, so
+   the Incorrect verdict stays visible to `logitdyn bench compare`. *)
+let emit { title; records; notes } =
+  let module T = Experiments.Table in
+  let table =
+    T.create ~title
+      [
+        ("workload / arm", T.Left);
+        ("seconds", T.Right);
+        ("speedup", T.Right);
+        ("jobs", T.Right);
+        ("peak RSS", T.Right);
+        ("correct", T.Right);
+      ]
   in
-  match find 1 with
-  | Some j when j >= 2 -> j
-  | _ -> Int.max 2 (Domain.recommended_domain_count ())
+  List.iter
+    (fun (r : Bench.Record.t) ->
+      T.add_row table
+        [
+          r.workload ^ " / " ^ r.arm;
+          Printf.sprintf "%.4f" r.seconds;
+          Printf.sprintf "%.2fx" r.speedup;
+          string_of_int r.jobs;
+          (match r.peak_rss_kb with
+          | Some kb -> Printf.sprintf "%d kB" kb
+          | None -> "-");
+          T.cell_bool r.correct;
+        ])
+    records;
+  List.iter (T.add_note table) notes;
+  T.print table;
+  match Bench.Sink.record_run records with
+  | Error msg ->
+      Printf.eprintf "FATAL: bench sink rejected the records: %s\n" msg;
+      exit 1
+  | Ok appended ->
+      Printf.printf "+%d trajectory records in %s\n%!" (List.length appended)
+        Bench.History.default_path;
+      if not (List.for_all (fun (r : Bench.Record.t) -> r.correct) records)
+      then begin
+        Printf.eprintf "FATAL: a bit-identity gate failed in %S\n" title;
+        exit 1
+      end
 
 (* --- Phase 2 fixtures ------------------------------------------------ *)
 
@@ -225,12 +288,7 @@ let chain_equal a b =
        !ok
      end
 
-let max_abs_diff a b =
-  let d = ref 0. in
-  Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
-  !d
-
-let run_ablation () =
+let run_exec_ablation () =
   let n_ring = if quick then 8 else 10 in
   let steps = if quick then 50 else 200 in
   let replicas = if quick then 2_000 else 20_000 in
@@ -248,49 +306,29 @@ let run_ablation () =
   in
   let starts = List.init size Fun.id in
   Exec.Pool.with_pool ~domains:jobs @@ fun pool ->
-  let table =
-    Experiments.Table.create
-      ~title:
-        (Printf.sprintf
-           "exec ablation: serial vs %d domains (ring n=%d, |S|=%d, beta=%g)"
-           jobs n_ring size beta)
-      [
-        ("kernel", Experiments.Table.Left);
-        ("serial s", Experiments.Table.Right);
-        ("parallel s", Experiments.Table.Right);
-        ("speedup", Experiments.Table.Right);
-        ("agree", Experiments.Table.Right);
-      ]
-  in
-  let add name t_serial t_parallel agree =
-    Experiments.Table.add_row table
-      [
-        name;
-        Printf.sprintf "%.3f" t_serial;
-        Printf.sprintf "%.3f" t_parallel;
-        Printf.sprintf "%.2fx" (t_serial /. t_parallel);
-        agree;
-      ]
+  (* The serial arm is the reference; the pooled arm must reproduce its
+     output exactly. *)
+  let pair workload (t_s, t_p) correct =
+    let r = record ~bench:"exec_ablation" ~workload ~correct in
+    [ r ~arm:"serial" ~jobs:1 t_s; r ~arm:"pooled" ~jobs ~vs:t_s t_p ]
   in
   let chain_s, t_s = time (fun () -> Logit.Logit_dynamics.chain game ~beta) in
   let chain_p, t_p = time (fun () -> Logit.Logit_dynamics.chain ~pool game ~beta) in
-  add "chain materialise (sparse rows)" t_s t_p
-    (Experiments.Table.cell_bool (chain_equal chain_s chain_p));
+  let chain_records =
+    pair "chain_materialise" (t_s, t_p) (chain_equal chain_s chain_p)
+  in
   let curve_s, t_s =
     time (fun () -> Markov.Mixing.tv_curve chain_s pi ~starts ~steps)
   in
   let curve_p, t_p =
     time (fun () -> Markov.Mixing.tv_curve ~pool chain_s pi ~starts ~steps)
   in
-  add
-    (Printf.sprintf "tv_curve (all starts, %d steps)" steps)
-    t_s t_p
-    (Printf.sprintf "max|d| %.1e" (max_abs_diff curve_s curve_p));
+  let curve_records = pair "tv_curve" (t_s, t_p) (curve_s = curve_p) in
   let tmix_s, t_s = time (fun () -> Markov.Mixing.mixing_time_all chain_s pi) in
   let tmix_p, t_p =
     time (fun () -> Markov.Mixing.mixing_time_all ~pool chain_s pi)
   in
-  add "mixing_time_all" t_s t_p (Experiments.Table.cell_bool (tmix_s = tmix_p));
+  let tmix_records = pair "mixing_time_all" (t_s, t_p) (tmix_s = tmix_p) in
   let emp_s, t_s =
     time (fun () ->
         Markov.Mixing.empirical_tv (Prob.Rng.create 11) chain_s pi ~start:0
@@ -301,10 +339,7 @@ let run_ablation () =
         Markov.Mixing.empirical_tv ~pool (Prob.Rng.create 11) chain_s pi ~start:0
           ~steps:100 ~replicas)
   in
-  add
-    (Printf.sprintf "empirical_tv (%d replicas)" replicas)
-    t_s t_p
-    (Experiments.Table.cell_bool (emp_s = emp_p));
+  let emp_records = pair "empirical_tv" (t_s, t_p) (emp_s = emp_p) in
   let small = Games.Graphical.to_game small_desc in
   let cftp_s, t_s =
     time (fun () ->
@@ -316,13 +351,24 @@ let run_ablation () =
         Logit.Perfect_sampling.samples ~pool (Prob.Rng.create 12) small ~beta
           ~count:cftp_count)
   in
-  add
-    (Printf.sprintf "CFTP samples (%d draws)" cftp_count)
-    t_s t_p
-    (Experiments.Table.cell_bool (cftp_s = cftp_p));
-  Experiments.Table.add_note table
-    "parallel runs reuse one pool; agreement is checked on the actual outputs.";
-  Experiments.Table.print table
+  let cftp_records = pair "cftp_samples" (t_s, t_p) (cftp_s = cftp_p) in
+  {
+    title =
+      Printf.sprintf
+        "exec ablation: serial vs %d domains (ring n=%d, |S|=%d, beta=%g)" jobs
+        n_ring size beta;
+    records =
+      List.concat
+        [ chain_records; curve_records; tmix_records; emp_records; cftp_records ];
+    notes =
+      [
+        Printf.sprintf
+          "tv_curve: all starts, %d steps; empirical_tv: %d replicas; \
+           cftp_samples: %d draws. Pooled runs reuse one pool; correct = \
+           pooled output bit-identical to serial."
+          steps replicas cftp_count;
+      ];
+  }
 
 (* --- Phase 1.7: artifact store ablation -------------------------------- *)
 
@@ -426,63 +472,32 @@ let run_store_ablation () =
   let resume_ok =
     recomputed = 7 && results = List.map (fun i -> float_of_int (i * i)) grid
   in
-  let table =
-    Experiments.Table.create
-      ~title:
-        (Printf.sprintf
-           "store ablation: cold vs warm artifact pipeline (ring n=%d, |S|=%d, \
-            beta=%g)"
-           n_ring size beta)
+  ignore (Store.Cas.clear cas);
+  (* The resume check has no timing of its own; it gates the pipeline
+     records alongside the decoded-artifact identity. *)
+  let r =
+    record ~bench:"store_ablation" ~workload:"pipeline" ~jobs:1
+      ~correct:(chain_identical && pi_identical && curve_identical && resume_ok)
+  in
+  {
+    title =
+      Printf.sprintf
+        "store ablation: cold vs warm artifact pipeline (ring n=%d, |S|=%d, \
+         beta=%g)"
+        n_ring size beta;
+    records = [ r ~arm:"cold" t_cold; r ~arm:"warm" ~vs:t_cold t_warm ];
+    notes =
       [
-        ("workload", Experiments.Table.Left);
-        ("cold s", Experiments.Table.Right);
-        ("warm s", Experiments.Table.Right);
-        ("speedup", Experiments.Table.Right);
-        ("agree", Experiments.Table.Right);
-      ]
-  in
-  Experiments.Table.add_row table
-    [
-      Printf.sprintf "chain + stationary + tv_curve(%d)" tv_steps;
-      Printf.sprintf "%.3f" t_cold;
-      Printf.sprintf "%.3f" t_warm;
-      Printf.sprintf "%.1fx" (t_cold /. t_warm);
-      Experiments.Table.cell_bool
-        (chain_identical && pi_identical && curve_identical);
-    ];
-  Experiments.Table.add_row table
-    [
-      "sweep resume (12 points, 5 pre-filed)";
-      "-";
-      "-";
-      Printf.sprintf "%d recomputed" recomputed;
-      Experiments.Table.cell_bool resume_ok;
-    ];
-  Experiments.Table.add_note table
-    (Printf.sprintf
-       "cold: %d miss(es), %d write(s); warm: %d hit(s). agree = decoded \
-        artifacts bit-identical to the computed ones."
-       cold.Store.Cas.misses cold.Store.Cas.writes warm_hits);
-  Experiments.Table.print table;
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.store_path in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "store_ablation",
-  "quick": %b,
-  "game": { "kind": "ring_coordination", "n": %d, "states": %d, "beta": %g },
-  "pipeline": { "cold_s": %.6f, "warm_s": %.6f, "speedup": %.3f,
-    "cold_misses": %d, "cold_writes": %d, "warm_hits": %d },
-  "identical": { "chain": %b, "stationary": %b, "tv_curve": %b },
-  "resume": { "grid": 12, "prefiled": 5, "recomputed": %d, "ok": %b }
-}
-|}
-      quick n_ring size beta t_cold t_warm (t_cold /. t_warm)
-      cold.Store.Cas.misses cold.Store.Cas.writes warm_hits chain_identical
-      pi_identical curve_identical recomputed resume_ok
-  in
-  record_snapshot ~label:"store ablation" ~legacy_path:json_path json;
-  ignore (Store.Cas.clear cas)
+        Printf.sprintf
+          "pipeline = chain + stationary + tv_curve(%d). cold: %d miss(es), \
+           %d write(s); warm: %d hit(s). Sweep resume (12 points, 5 \
+           pre-filed): %d recomputed, %s. correct = decoded artifacts \
+           bit-identical to the computed ones and the resume check held."
+          tv_steps cold.Store.Cas.misses cold.Store.Cas.writes warm_hits
+          recomputed
+          (if resume_ok then "ok" else "FAILED");
+      ];
+  }
 
 (* --- Phase 1.9: daemon load bench ------------------------------------ *)
 
@@ -631,63 +646,37 @@ let run_serve_ablation () =
   let last_recv = Array.fold_left Int64.max 0L recv_ns in
   let elapsed_s = Int64.to_float (Int64.sub last_recv send_ns.(1)) /. 1e9 in
   let achieved_rps = float_of_int requests /. elapsed_s in
-  let table =
-    Experiments.Table.create
-      ~title:
-        (Printf.sprintf
-           "daemon ablation: coalesced panel scheduler (ring n=%d, |S|=%d, \
-            beta=%g)"
-           n_ring size beta)
+  let r = record ~bench:"serve_ablation" ~jobs:1 in
+  (* Latencies ride the trajectory as seconds, so the regression gate
+     bounds p50/p99 drift like any other arm. *)
+  let open_loop = r ~workload:"open_loop" ~correct:(!failures = 0) in
+  {
+    title =
+      Printf.sprintf
+        "daemon ablation: coalesced panel scheduler (ring n=%d, |S|=%d, beta=%g)"
+        n_ring size beta;
+    records =
       [
-        ("workload", Experiments.Table.Left);
-        ("serial s", Experiments.Table.Right);
-        ("daemon s", Experiments.Table.Right);
-        ("speedup", Experiments.Table.Right);
-        ("agree", Experiments.Table.Right);
-      ]
-  in
-  Experiments.Table.add_row table
-    [
-      Printf.sprintf "mixing x%d (distinct eps)" clients;
-      Printf.sprintf "%.3f" serial_s;
-      Printf.sprintf "%.3f" coalesced_s;
-      Printf.sprintf "%.1fx" (serial_s /. coalesced_s);
-      Experiments.Table.cell_bool bit_identical;
-    ];
-  Experiments.Table.add_row table
-    [
-      Printf.sprintf "open loop (%d req @ %.0f rps)" requests offered_rps;
-      "-";
-      Printf.sprintf "p50 %.2fms p99 %.2fms" p50 p99;
-      Printf.sprintf "%.0f rps" achieved_rps;
-      Experiments.Table.cell_bool (!failures = 0);
-    ];
-  Experiments.Table.add_note table
-    (Printf.sprintf
-       "coalescing: %d batch(es), widest %d, %d panel step(s). agree = \
-        daemon replies bit-identical to serial engine evals."
-       co_stats.SP.batches co_stats.SP.max_batch co_stats.SP.panel_steps);
-  Experiments.Table.print table;
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.serve_path in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "serve_ablation",
-  "quick": %b,
-  "game": { "kind": "ring_coordination", "n": %d, "states": %d, "beta": %g },
-  "coalescing": { "clients": %d, "serial_s": %.6f, "coalesced_s": %.6f,
-    "speedup": %.3f, "batches": %d, "max_batch": %d, "panel_steps": %d,
-    "bit_identical": %b },
-  "open_loop": { "requests": %d, "offered_rps": %.1f, "achieved_rps": %.1f,
-    "p50_ms": %.3f, "p99_ms": %.3f, "errors": %d }
-}
-|}
-      quick n_ring size beta clients serial_s coalesced_s
-      (serial_s /. coalesced_s)
-      co_stats.SP.batches co_stats.SP.max_batch co_stats.SP.panel_steps
-      bit_identical requests offered_rps achieved_rps p50 p99 !failures
-  in
-  record_snapshot ~label:"daemon ablation" ~legacy_path:json_path json
+        r ~workload:"coalescing_x8" ~arm:"serial" ~correct:bit_identical serial_s;
+        r ~workload:"coalescing_x8" ~arm:"coalesced" ~correct:bit_identical
+          ~vs:serial_s coalesced_s;
+        open_loop ~arm:"p50_latency" (p50 /. 1000.);
+        open_loop ~arm:"p99_latency" (p99 /. 1000.);
+      ];
+    notes =
+      [
+        Printf.sprintf
+          "coalescing_x%d: distinct eps per client; %d batch(es), widest %d, \
+           %d panel step(s); correct = daemon replies bit-identical to \
+           serial engine evals."
+          clients co_stats.SP.batches co_stats.SP.max_batch
+          co_stats.SP.panel_steps;
+        Printf.sprintf
+          "open_loop: %d requests offered at %.0f rps, %.0f rps achieved, %d \
+           error(s); correct = no request failed."
+          requests offered_rps achieved_rps !failures;
+      ];
+  }
 
 (* --- Phase 1.10: out-of-core segment ablation --------------------------- *)
 
@@ -813,88 +802,40 @@ let run_ooc_ablation () =
   in
   let curve_pool, t_pool, _ = run_arm ~access:Ooc.Segment.Mmap ~pool_jobs:jobs in
   let arms_agree = curve_stream = curve_mmap && curve_pool = curve_mmap in
-  let equivalent = overlap_ok && fixpoint_ok && arms_agree in
-  let pp_rss = function
-    | Some kb -> Printf.sprintf "%d kB" kb
-    | None -> "n/a"
+  let r =
+    record ~bench:"ooc_ablation"
+      ~correct:(overlap_ok && fixpoint_ok && arms_agree)
   in
-  let table =
-    Experiments.Table.create
-      ~title:
-        (Printf.sprintf
-           "out-of-core ablation: segmented vs in-RAM kernels (cycle walk, \
-            |S|=%d, nnz=%d, %d blocks, %d domains)"
-           info.Ooc.Segment.b_n info.Ooc.Segment.b_nnz info.Ooc.Segment.b_blocks
-           jobs)
+  let tv = r ~workload:"tv_curve" in
+  {
+    title =
+      Printf.sprintf
+        "out-of-core ablation: segmented vs in-RAM kernels (cycle walk, \
+         |S|=%d, nnz=%d, %d blocks, %d domains)"
+        info.Ooc.Segment.b_n info.Ooc.Segment.b_nnz info.Ooc.Segment.b_blocks
+        jobs;
+    records =
       [
-        ("workload / arm", Experiments.Table.Left);
-        ("seconds", Experiments.Table.Right);
-        ("speedup", Experiments.Table.Right);
-        ("peak RSS", Experiments.Table.Right);
-        ("agree", Experiments.Table.Right);
-      ]
-  in
-  let add name seconds speedup rss agree =
-    Experiments.Table.add_row table
+        r ~workload:"pack" ~arm:"stream_build" ~jobs:1 t_pack;
+        tv ?peak_rss_kb:rss_mmap ~arm:"mmap_serial" ~jobs:1 t_mmap;
+        tv ~arm:"mmap_pooled" ~jobs ~vs:t_mmap t_pool;
+        tv ?peak_rss_kb:rss_stream ~arm:"stream_serial" ~jobs:1 ~vs:t_mmap
+          t_stream;
+      ];
+    notes =
       [
-        name;
-        Printf.sprintf "%.3f" seconds;
-        Printf.sprintf "%.2fx" speedup;
-        rss;
-        Experiments.Table.cell_bool agree;
-      ]
-  in
-  add "pack / two-pass stream build" t_pack 1.0 "-" true;
-  add
-    (Printf.sprintf "tv_curve(%d) / mmap serial" steps)
-    t_mmap 1.0 (pp_rss rss_mmap) arms_agree;
-  add
-    (Printf.sprintf "tv_curve(%d) / mmap pooled" steps)
-    t_pool (t_mmap /. t_pool) "-" arms_agree;
-  add
-    (Printf.sprintf "tv_curve(%d) / stream serial" steps)
-    t_stream (t_mmap /. t_stream) (pp_rss rss_stream) arms_agree;
-  Experiments.Table.add_note table
-    (Printf.sprintf
-       "segment file: %d bytes on disk. agree = all arms bit-identical; \
-        overlap equivalence vs in-RAM SpMM (pools 1/2/4, mmap+stream): %s; \
-        fixed-point equivalence (by_power, mixing_time): %s."
-       info.Ooc.Segment.b_bytes
-       (if overlap_ok then "yes" else "NO")
-       (if fixpoint_ok then "yes" else "NO"));
-  Experiments.Table.print table;
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.ooc_path in
-  let rss_json = function
-    | Some kb -> string_of_int kb
-    | None -> "null"
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "ooc_ablation",
-  "quick": %b,
-  "jobs": %d,
-  "chain": { "kind": "lazy_cycle_walk", "states": %d, "nnz": %d,
-    "blocks": %d, "file_bytes": %d },
-  "equivalent": %b,
-  "workloads": [
-    { "name": "pack", "arm": "stream_build", "seconds": %.6f,
-      "speedup": 1.0, "jobs": 1 },
-    { "name": "tv_curve", "arm": "mmap_serial", "seconds": %.6f,
-      "speedup": 1.0, "jobs": 1, "peak_rss_kb": %s },
-    { "name": "tv_curve", "arm": "mmap_pooled", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d },
-    { "name": "tv_curve", "arm": "stream_serial", "seconds": %.6f,
-      "speedup": %.3f, "jobs": 1, "peak_rss_kb": %s }
-  ]
-}
-|}
-      quick jobs info.Ooc.Segment.b_n info.Ooc.Segment.b_nnz
-      info.Ooc.Segment.b_blocks info.Ooc.Segment.b_bytes equivalent t_pack
-      t_mmap (rss_json rss_mmap) t_pool (t_mmap /. t_pool) jobs t_stream
-      (t_mmap /. t_stream) (rss_json rss_stream)
-  in
-  record_snapshot ~label:"out-of-core ablation" ~legacy_path:json_path json
+        Printf.sprintf
+          "pack = two-pass stream build; tv_curve(%d) from one start. \
+           Segment file: %d bytes on disk. Overlap equivalence vs in-RAM \
+           SpMM (pools 1/2/4, mmap+stream): %s; fixed-point equivalence \
+           (by_power, mixing_time): %s; full-size arms agree: %s. correct = \
+           all three."
+          steps info.Ooc.Segment.b_bytes
+          (if overlap_ok then "yes" else "NO")
+          (if fixpoint_ok then "yes" else "NO")
+          (if arms_agree then "yes" else "NO");
+      ];
+  }
 
 (* --- Phase 1.11: β-family ablation ------------------------------------- *)
 
@@ -905,7 +846,7 @@ let run_ooc_ablation () =
    advancement — the fused shared-structure SpMM vs per-plane
    evolve_many_into; (c) the structure-once family store layout, cold
    vs warm. Every arm is gated on bit-identity against its per-β
-   counterpart; timings land in BENCH_family.json. *)
+   counterpart. *)
 let run_family_ablation () =
   (* The paper's Section 5 clique coordination game: every player's
      utility sums over n-1 neighbours, so the per-state utility
@@ -1077,90 +1018,38 @@ let run_family_ablation () =
          betas)
   in
   ignore (Store.Cas.clear cas);
-  let table =
-    Experiments.Table.create
-      ~title:
-        (Printf.sprintf
-           "beta-family ablation: per-point vs shared structure (clique n=%d, \
-            |S|=%d, %d grid points, %d domains)"
-           n_players size grid_points jobs)
+  (* Both arms of a pair carry its gate: the per-β reference and the
+     family arm it must match bit-for-bit. *)
+  let pair workload (ref_arm, t_ref) (arm, t) correct =
+    let r = record ~bench:"family_ablation" ~workload ~jobs ~correct in
+    [ r ~arm:ref_arm t_ref; r ~arm ~vs:t_ref t ]
+  in
+  {
+    title =
+      Printf.sprintf
+        "beta-family ablation: per-point vs shared structure (clique n=%d, \
+         |S|=%d, %d grid points, %d domains)"
+        n_players size grid_points jobs;
+    records =
+      List.concat
+        [
+          pair "beta_grid_sweep" ("per_point", t_pp_sweep)
+            ("family", t_fam_sweep) sweep_identical;
+          pair "beta_grid_build" ("per_point", t_per_point) ("family", t_family)
+            build_identical;
+          pair "panel_sweep" ("sequential", t_seq) ("fused", t_fused)
+            panels_identical;
+          pair "family_store" ("cold", t_cold) ("warm", t_warm) store_identical;
+        ];
+    notes =
       [
-        ("workload / arm", Experiments.Table.Left);
-        ("seconds", Experiments.Table.Right);
-        ("speedup", Experiments.Table.Right);
-        ("bit-identical", Experiments.Table.Right);
-      ]
-  in
-  let add name seconds speedup bit =
-    Experiments.Table.add_row table
-      [
-        name;
-        Printf.sprintf "%.4f" seconds;
-        Printf.sprintf "%.2fx" speedup;
-        Experiments.Table.cell_bool bit;
-      ]
-  in
-  add "beta_grid_sweep / per_point" t_pp_sweep 1.0 true;
-  add "beta_grid_sweep / family" t_fam_sweep (t_pp_sweep /. t_fam_sweep)
-    sweep_identical;
-  add "beta_grid_build / per_point" t_per_point 1.0 true;
-  add "beta_grid_build / family" t_family (t_per_point /. t_family) build_identical;
-  add
-    (Printf.sprintf "panel_sweep(%d) / sequential" sweep_steps)
-    t_seq 1.0 true;
-  add
-    (Printf.sprintf "panel_sweep(%d) / fused" sweep_steps)
-    t_fused (t_seq /. t_fused) panels_identical;
-  add "family_store / cold" t_cold 1.0 true;
-  add "family_store / warm" t_warm (t_cold /. t_warm) store_identical;
-  Experiments.Table.add_note table
-    (Printf.sprintf "shared structure: %b; bit-identical = family path vs the \
-                     independent per-beta path, gated."
-       (Markov.Family.shared_structure family));
-  Experiments.Table.print table;
-  if not (sweep_identical && build_identical && panels_identical && store_identical)
-  then Printf.printf "WARNING: a family arm diverged from its per-beta build!\n";
-  let json_path = Filename.concat (Sys.getcwd ()) Bench.Sink.family_path in
-  let json =
-    Printf.sprintf
-      {|{
-  "bench": "family_ablation",
-  "quick": %b,
-  "jobs": %d,
-  "grid_points": %d,
-  "game": { "kind": "clique_coordination", "n": %d, "states": %d },
-  "shared_structure": %b,
-  "workloads": [
-    { "name": "beta_grid_sweep", "arm": "per_point", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "beta_grid_sweep", "arm": "family", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b },
-    { "name": "beta_grid_build", "arm": "per_point", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "beta_grid_build", "arm": "family", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b },
-    { "name": "panel_sweep", "arm": "sequential", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "panel_sweep", "arm": "fused", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b },
-    { "name": "family_store", "arm": "cold", "seconds": %.6f,
-      "speedup": 1.0, "jobs": %d, "bit_identical": true },
-    { "name": "family_store", "arm": "warm", "seconds": %.6f,
-      "speedup": %.3f, "jobs": %d, "bit_identical": %b }
-  ]
-}
-|}
-      quick jobs grid_points n_players size
-      (Markov.Family.shared_structure family)
-      t_pp_sweep jobs t_fam_sweep
-      (t_pp_sweep /. t_fam_sweep)
-      jobs sweep_identical t_per_point jobs t_family
-      (t_per_point /. t_family)
-      jobs build_identical t_seq jobs t_fused (t_seq /. t_fused) jobs
-      panels_identical t_cold jobs t_warm (t_cold /. t_warm) jobs
-      store_identical
-  in
-  record_snapshot ~label:"beta-family ablation" ~legacy_path:json_path json
+        Printf.sprintf
+          "panel_sweep: %d steps. Shared structure: %b; correct = family \
+           path bit-identical to the independent per-beta path."
+          sweep_steps
+          (Markov.Family.shared_structure family);
+      ];
+  }
 
 let run_micro () =
   let instances = Instance.[ monotonic_clock ] in
@@ -1203,42 +1092,26 @@ let run_micro () =
 let () =
   Printf.printf "logitdyn benchmark harness%s\n"
     (if quick then " (quick mode)" else "");
-  if store_only then begin
-    Printf.printf "phase 1.7: artifact store ablation (cold vs warm)\n%!";
-    run_store_ablation ()
-  end
-  else if serve_only then begin
-    Printf.printf "phase 1.9: daemon load bench (coalescing + open loop)\n%!";
-    run_serve_ablation ()
-  end
-  else if ooc_only then begin
-    Printf.printf "phase 1.10: out-of-core segment ablation (mmap + stream)\n%!";
-    run_ooc_ablation ()
-  end
-  else if family_only then begin
-    Printf.printf
-      "phase 1.11: beta-family ablation (per-point vs shared structure)\n%!";
-    run_family_ablation ()
-  end
-  else begin
-    Printf.printf
-      "phase 1: regenerating every experiment table (E1..E9, X1..X10)\n";
-    let t0 = Common.Clock.monotonic_ns () in
-    Experiments.Registry.run_all ~quick ();
-    Printf.printf "\nphase 1 elapsed: %.1fs\n" (Common.Clock.span_s ~since:t0);
-    Printf.printf "\nphase 1.5: serial vs parallel ablation (%d domains)\n%!" jobs;
-    run_ablation ();
-    Printf.printf "\nphase 1.7: artifact store ablation (cold vs warm)\n%!";
-    run_store_ablation ();
-    Printf.printf "\nphase 1.9: daemon load bench (coalescing + open loop)\n%!";
-    run_serve_ablation ();
-    Printf.printf "\nphase 1.10: out-of-core segment ablation (mmap + stream)\n%!";
-    run_ooc_ablation ();
-    Printf.printf
-      "\nphase 1.11: beta-family ablation (per-point vs shared structure)\n%!";
-    run_family_ablation ();
-    if not skip_micro then begin
-      Printf.printf "\nphase 2: micro-benchmarks\n%!";
-      run_micro ()
-    end
+  Printf.printf "phase 1: regenerating every experiment table (E1..E9, X1..X10)\n";
+  let t0 = Common.Clock.monotonic_ns () in
+  Experiments.Registry.run_all ~quick ();
+  Printf.printf "\nphase 1 elapsed: %.1fs\n" (Common.Clock.span_s ~since:t0);
+  List.iter
+    (fun (header, run) ->
+      Printf.printf "\n%s\n%!" header;
+      emit (run ()))
+    [
+      ( Printf.sprintf "phase 1.5: serial vs parallel ablation (%d domains)" jobs,
+        run_exec_ablation );
+      ("phase 1.7: artifact store ablation (cold vs warm)", run_store_ablation);
+      ( "phase 1.9: daemon load bench (coalescing + open loop)",
+        run_serve_ablation );
+      ( "phase 1.10: out-of-core segment ablation (mmap + stream)",
+        run_ooc_ablation );
+      ( "phase 1.11: beta-family ablation (per-point vs shared structure)",
+        run_family_ablation );
+    ];
+  if not skip_micro then begin
+    Printf.printf "\nphase 2: micro-benchmarks\n%!";
+    run_micro ()
   end

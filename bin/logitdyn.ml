@@ -13,7 +13,7 @@
      sample      exact stationary samples via coupling from the past
      chain       pack/inspect out-of-core chain segments
      store       inspect/maintain the on-disk artifact store
-     bench       performance trajectory (history, regression gate, ingest)
+     bench       performance trajectory (history, regression gate)
 
    The chain-building subcommands (mixing, spectrum, hitting,
    experiment) memoise their heavy artifacts — chains, stationary
@@ -696,22 +696,9 @@ let bench_cmd =
             Bench.Cli.compare ~strict ~threshold ~baseline ~candidate ())
         $ strict_arg $ threshold_arg $ baseline_arg $ candidate_arg)
   in
-  let ingest_cmd =
-    let files_arg =
-      Arg.(
-        non_empty & pos_all string []
-        & info [] ~docv:"FILE" ~doc:"Legacy BENCH snapshot files to migrate.")
-    in
-    Cmd.v
-      (Cmd.info "ingest"
-         ~doc:"Migrate legacy bench snapshots into the trajectory")
-      Term.(
-        const (fun path files -> Bench.Cli.ingest ~history_path:path files)
-        $ bench_history_path_arg $ files_arg)
-  in
   Cmd.group
     (Cmd.info "bench" ~doc:"Performance trajectory and regression gate")
-    [ history_cmd; compare_cmd; ingest_cmd ]
+    [ history_cmd; compare_cmd ]
 
 (* --- list --------------------------------------------------------------- *)
 

@@ -1,6 +1,5 @@
 (** A minimal, dependency-free JSON reader/writer for the bench
-    trajectory ([BENCH_HISTORY.json]) and the legacy [BENCH_*.json]
-    snapshots it migrates. Strict on input (no trailing garbage, no
+    trajectory ([BENCH_HISTORY.json]). Strict on input (no trailing garbage, no
     NaN/Infinity literals, no comments) and canonical on output
     (floats printed with ["%.17g"], so every finite double
     round-trips bit-for-bit). *)

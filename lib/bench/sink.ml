@@ -1,10 +1,3 @@
-let csr_path = "BENCH_csr.json"
-let spmm_path = "BENCH_spmm.json"
-let store_path = "BENCH_store.json"
-let serve_path = "BENCH_serve.json"
-let ooc_path = "BENCH_ooc.json"
-let family_path = "BENCH_family.json"
-
 type provenance = { rev : string; host : string; timestamp : float }
 
 let git_rev () =
@@ -27,17 +20,9 @@ let provenance () =
 let stamp p (r : Record.t) =
   { r with Record.rev = p.rev; host = p.host; timestamp = p.timestamp }
 
-let ( let* ) = Result.bind
-
-let record_run ?(history_path = History.default_path) ?provenance:prov
-    ~legacy_path legacy_json =
-  let* records = Migrate.of_legacy_string legacy_json in
+let record_run ?(history_path = History.default_path) ?provenance:prov records
+    =
   let p = match prov with Some p -> p | None -> provenance () in
   let stamped = List.map (stamp p) records in
-  let* () =
-    match Store.Io.write_atomic ~path:legacy_path legacy_json with
-    | () -> Ok ()
-    | exception Sys_error msg -> Error msg
-  in
-  let* _all = History.append ~path:history_path stamped in
-  Ok stamped
+  (* History.append validates every record before it writes anything. *)
+  Result.map (fun _all -> stamped) (History.append ~path:history_path stamped)

@@ -1,22 +1,7 @@
-(** The single exit point for bench results. The harness hands each
-    ablation's legacy snapshot JSON to [record_run]; the sink writes
-    the snapshot atomically, migrates it into trajectory records,
-    stamps them with provenance (git revision, host, wall-clock time)
-    and appends them to [BENCH_HISTORY.json].
-
-    Owning the filenames here — with the [bench-json-outside-bench]
-    lint rule guarding the rest of the tree — means the snapshot and
-    the trajectory cannot drift: the trajectory is derived from the
-    very bytes written to the snapshot. *)
-
-(** Legacy snapshot paths, one per ablation family. *)
-val csr_path : string
-
-val spmm_path : string
-val store_path : string
-val serve_path : string
-val ooc_path : string
-val family_path : string
+(** The single exit point for bench results. Each phase of the bench
+    harness hands its records to [record_run], which stamps them with
+    provenance (git revision, host, wall-clock time) and appends them
+    to [BENCH_HISTORY.json]. *)
 
 type provenance = { rev : string; host : string; timestamp : float }
 
@@ -26,15 +11,13 @@ val provenance : unit -> provenance
 
 val stamp : provenance -> Record.t -> Record.t
 
-(** [record_run ?history_path ?provenance ~legacy_path legacy_json]
-    validates [legacy_json] by migrating it, writes it to
-    [legacy_path] atomically, and appends the stamped records to
-    [history_path] (default {!History.default_path}). Nothing is
-    written if migration fails — a malformed snapshot never reaches
-    disk. Returns the appended records. *)
+(** [record_run ?history_path ?provenance records] validates
+    [records], stamps them with [provenance] (default: sampled now)
+    and appends them to [history_path] (default
+    {!History.default_path}). Nothing is written if any record fails
+    {!Record.validate}. Returns the appended records. *)
 val record_run :
   ?history_path:string ->
   ?provenance:provenance ->
-  legacy_path:string ->
-  string ->
+  Record.t list ->
   (Record.t list, string) result

@@ -1,5 +1,5 @@
-(** Atomic file plumbing shared by the cache and by every artifact the
-    bench harness writes ([BENCH_csr.json], [BENCH_store.json]).
+(** Atomic file plumbing shared by the cache and by the bench
+    trajectory ([Bench.History] rewrites it on every append).
 
     The write protocol is write-to-temp + [Sys.rename]: readers — and
     concurrent {!Exec.Pool} workers or parallel CI jobs racing on the

@@ -1,14 +1,13 @@
 (* The bench trajectory subsystem (lib/bench): the JSON codec, the
-   versioned Record, migration of the three legacy snapshot shapes,
-   the append-only History file, the regression Gate's boundary
-   semantics, and the Cli exit codes CI keys off — driven through the
-   same functions `logitdyn bench ...` calls. *)
+   versioned Record, the append-only History file (and the committed
+   one), the regression Gate's boundary semantics, the Cli exit codes
+   CI keys off — driven through the same functions `logitdyn bench ...`
+   calls — and the Sink every bench phase reports through. *)
 
 open Helpers
 module J = Bench.Json
 module Record = Bench.Record
 module History = Bench.History
-module Migrate = Bench.Migrate
 module Gate = Bench.Gate
 module Cli = Bench.Cli
 
@@ -299,158 +298,21 @@ let history_encode_validates () =
   check_raises_invalid "encode refuses invalid records" (fun () ->
       ignore (History.encode [ bad ]))
 
-(* ---------------- Migrate: byte-for-byte legacy fixtures ----------------
-
-   Embedded copies of the checked-in snapshots as of this PR's
-   baseline (BENCH_spmm.json still showing the pooled by_power
-   regression this PR fixes). The migration contract is pinned against
-   these exact bytes. *)
-
-let csr_fixture =
-  {|{
-  "bench": "csr_ablation",
-  "quick": false,
-  "game": { "kind": "ring_coordination", "n": 10, "states": 1024, "beta": 1 },
-  "evolve_bit_identical": true,
-  "workloads": [
-    { "name": "tv_curve", "kind": "evolve", "steps": 150,
-      "pre_csr_s": 10.497214, "csr_s": 2.745061, "speedup": 3.824, "agree": true },
-    { "name": "mixing_time_all", "kind": "evolve", "t_mix": 49,
-      "pre_csr_s": 3.683898, "csr_s": 0.845887, "speedup": 4.355, "agree": true },
-    { "name": "empirical_tv", "kind": "sample_step", "steps": 200, "replicas": 50000,
-      "pre_csr_s": 1.131692, "csr_s": 0.392581, "speedup": 2.883, "agree": true }
-  ]
-}
-|}
-
-let spmm_fixture =
-  {|{
-  "bench": "spmm_ablation",
-  "quick": false,
-  "jobs": 4,
-  "game": { "kind": "ring_coordination", "n": 10, "states": 1024, "beta": 1 },
-  "evolve_bit_identical": true,
-  "t_mix": 49,
-  "workloads": [
-    { "name": "mixing_time_all", "arm": "serial_push", "seconds": 2.784250,
-      "speedup": 1.0, "bit_identical": true },
-    { "name": "mixing_time_all", "arm": "pooled_pull", "seconds": 1.783843,
-      "speedup": 1.561, "bit_identical": true },
-    { "name": "mixing_time_all", "arm": "spmm_serial", "seconds": 1.077717,
-      "speedup": 2.583, "bit_identical": true },
-    { "name": "mixing_time_all", "arm": "spmm_pooled", "seconds": 1.147333,
-      "speedup": 2.427, "bit_identical": true }
-  ],
-  "tv_curve": { "steps": 150, "push_s": 7.791740, "spmm_s": 2.955936, "speedup": 2.636,
-    "bit_identical": true },
-  "by_power": { "serial_s": 0.004633, "pooled_s": 0.012164, "speedup": 0.381,
-    "bit_identical": true }
-}
-|}
-
-let store_fixture =
-  {|{
-  "bench": "store_ablation",
-  "quick": false,
-  "game": { "kind": "ring_coordination", "n": 10, "states": 1024, "beta": 1 },
-  "pipeline": { "cold_s": 3.085460, "warm_s": 0.001952, "speedup": 1580.720,
-    "cold_misses": 3, "cold_writes": 3, "warm_hits": 3 },
-  "identical": { "chain": true, "stationary": true, "tv_curve": true },
-  "resume": { "grid": 12, "prefiled": 5, "recomputed": 7, "ok": true }
-}
-|}
-
-let migrate_csr_fixture () =
-  let bench = "csr_ablation" in
-  let r ~workload ~arm ~seconds ~speedup =
-    rv ~bench ~workload ~arm ~seconds ~speedup ~correct:true ~quick:false
-      ~jobs:1 ()
-  in
-  let expected =
-    [
-      r ~workload:"tv_curve" ~arm:"pre_csr" ~seconds:10.497214 ~speedup:1.0;
-      r ~workload:"tv_curve" ~arm:"csr" ~seconds:2.745061 ~speedup:3.824;
-      r ~workload:"mixing_time_all" ~arm:"pre_csr" ~seconds:3.683898
-        ~speedup:1.0;
-      r ~workload:"mixing_time_all" ~arm:"csr" ~seconds:0.845887 ~speedup:4.355;
-      r ~workload:"empirical_tv" ~arm:"pre_csr" ~seconds:1.131692 ~speedup:1.0;
-      r ~workload:"empirical_tv" ~arm:"csr" ~seconds:0.392581 ~speedup:2.883;
-    ]
-  in
-  check_true "csr fixture migrates to the six expected records"
-    (get_ok "migrate" (Migrate.of_legacy_string csr_fixture) = expected)
-
-let migrate_spmm_fixture () =
-  let bench = "spmm_ablation" in
-  let r ~workload ~arm ~seconds ~speedup ~jobs =
-    rv ~bench ~workload ~arm ~seconds ~speedup ~correct:true ~quick:false ~jobs
-      ()
-  in
-  let expected =
-    [
-      r ~workload:"mixing_time_all" ~arm:"serial_push" ~seconds:2.784250
-        ~speedup:1.0 ~jobs:1;
-      r ~workload:"mixing_time_all" ~arm:"pooled_pull" ~seconds:1.783843
-        ~speedup:1.561 ~jobs:4;
-      r ~workload:"mixing_time_all" ~arm:"spmm_serial" ~seconds:1.077717
-        ~speedup:2.583 ~jobs:1;
-      r ~workload:"mixing_time_all" ~arm:"spmm_pooled" ~seconds:1.147333
-        ~speedup:2.427 ~jobs:4;
-      r ~workload:"tv_curve" ~arm:"serial_push" ~seconds:7.791740 ~speedup:1.0
-        ~jobs:1;
-      r ~workload:"tv_curve" ~arm:"spmm" ~seconds:2.955936 ~speedup:2.636
-        ~jobs:1;
-      r ~workload:"by_power" ~arm:"serial" ~seconds:0.004633 ~speedup:1.0
-        ~jobs:1;
-      r ~workload:"by_power" ~arm:"pooled" ~seconds:0.012164 ~speedup:0.381
-        ~jobs:4;
-    ]
-  in
-  check_true "spmm fixture migrates to the eight expected records"
-    (get_ok "migrate" (Migrate.of_legacy_string spmm_fixture) = expected)
-
-let migrate_store_fixture () =
-  let r ~arm ~seconds ~speedup =
-    rv ~bench:"store_ablation" ~workload:"pipeline" ~arm ~seconds ~speedup
-      ~correct:true ~quick:false ~jobs:1 ()
-  in
-  let expected =
-    [
-      r ~arm:"cold" ~seconds:3.085460 ~speedup:1.0;
-      r ~arm:"warm" ~seconds:0.001952 ~speedup:1580.720;
-    ]
-  in
-  check_true "store fixture migrates to the cold/warm pair"
-    (get_ok "migrate" (Migrate.of_legacy_string store_fixture) = expected)
-
-let migrate_rejects_unknown () =
-  ignore
-    (get_error "unknown bench kind"
-       (Migrate.of_legacy_string "{\"bench\": \"mystery\"}"));
-  ignore (get_error "not json" (Migrate.of_legacy_string "nope"))
-
-(* The real checked-in snapshots keep migrating cleanly, whatever their
-   current timings: same shapes, same record counts. *)
-let migrate_checked_in_snapshots () =
+(* The committed trajectory decodes and still holds every ablation
+   family, including the csr/spmm ablations whose kernels are gone and
+   whose records therefore exist nowhere else. *)
+let history_committed_trajectory () =
   match Sys.getenv_opt "DUNE_SOURCEROOT" with
   | None -> ()
   | Some root ->
+      let path = Filename.concat root History.default_path in
+      let records = get_ok "committed trajectory" (History.load ~path) in
       List.iter
-        (fun (file, expected_count) ->
-          let path = Filename.concat root file in
-          match Store.Io.read_file path with
-          | None -> Alcotest.failf "checked-in snapshot %s is missing" file
-          | Some contents -> (
-              match Migrate.of_legacy_string contents with
-              | Error msg -> Alcotest.failf "%s does not migrate: %s" file msg
-              | Ok records ->
-                  check_int (file ^ ": record count") expected_count
-                    (List.length records)))
-        [
-          (Bench.Sink.csr_path, 6);
-          (Bench.Sink.spmm_path, 8);
-          (Bench.Sink.store_path, 2);
-        ]
+        (fun bench ->
+          check_true
+            (Printf.sprintf "%s has %s records" History.default_path bench)
+            (List.exists (fun (r : Record.t) -> r.Record.bench = bench) records))
+        [ "csr_ablation"; "spmm_ablation"; "store_ablation"; "family_ablation" ]
 
 (* ---------------- Gate ---------------- *)
 
@@ -603,61 +465,47 @@ let cli_compare_exit_codes () =
       check_int "corrupt candidate is an error: 2" 2
         (Cli.compare ~threshold:10. ~baseline ~candidate ()))
 
-let cli_history_and_ingest () =
+let cli_history_exit_codes () =
   with_tmp (fun dir ->
-      let history_path = Filename.concat dir "hist.json" in
-      check_int "history of a missing file: 0" 0 (Cli.history ~path:history_path ());
-      let legacy = Filename.concat dir "legacy.json" in
-      let oc = open_out legacy in
-      output_string oc csr_fixture;
-      close_out oc;
-      check_int "ingest: 0" 0 (Cli.ingest ~history_path [ legacy ]);
-      check_int "ingested six records" 6
-        (List.length (get_ok "load" (History.load ~path:history_path)));
-      check_int "history prints: 0" 0 (Cli.history ~path:history_path ());
-      check_int "ingest of a missing file: 2" 2
-        (Cli.ingest ~history_path [ Filename.concat dir "nope.json" ]);
-      let oc = open_out legacy in
+      let path = Filename.concat dir "hist.json" in
+      check_int "history of a missing file: 0" 0 (Cli.history ~path ());
+      write_history path [ sample (); sample ~arm:"pre_csr" () ];
+      check_int "history prints: 0" 0 (Cli.history ~path ());
+      let oc = open_out path in
       output_string oc "not json";
       close_out oc;
-      check_int "ingest of a corrupt file: 2" 2 (Cli.ingest ~history_path [ legacy ]);
-      check_int "failed ingests appended nothing" 6
-        (List.length (get_ok "load" (History.load ~path:history_path))))
+      check_int "history of a corrupt file: 2" 2 (Cli.history ~path ()))
 
 (* ---------------- Sink ---------------- *)
 
 let sink_record_run () =
   with_tmp (fun dir ->
-      let legacy_path = Filename.concat dir "snapshot.json" in
       let history_path = Filename.concat dir "hist.json" in
       let prov =
         { Bench.Sink.rev = "deadbee"; host = "ci-box"; timestamp = 1754600000. }
       in
+      let run = [ sample ~arm:"pre_csr" ~seconds:2. (); sample ~speedup:2. () ] in
       let records =
         get_ok "record_run"
-          (Bench.Sink.record_run ~history_path ~provenance:prov ~legacy_path
-             spmm_fixture)
+          (Bench.Sink.record_run ~history_path ~provenance:prov run)
       in
-      check_int "eight records from the spmm shape" 8 (List.length records);
-      check_true "records are provenance-stamped"
-        (List.for_all
-           (fun (r : Record.t) ->
-             r.Record.rev = "deadbee" && r.Record.host = "ci-box"
-             && r.Record.timestamp > 0.)
-           records);
-      check_true "legacy snapshot written byte-for-byte"
-        (Store.Io.read_file legacy_path = Some spmm_fixture);
+      check_true "records are the input, provenance-stamped"
+        (records = List.map (Bench.Sink.stamp prov) run
+        && List.for_all
+             (fun (r : Record.t) ->
+               r.Record.rev = "deadbee" && r.Record.host = "ci-box"
+               && r.Record.timestamp > 0.)
+             records);
       check_true "history holds the same records"
         (get_ok "load" (History.load ~path:history_path) = records);
-      (* A malformed snapshot writes nothing at all. *)
-      let bad_path = Filename.concat dir "bad.json" in
+      (* A run with one invalid record appends nothing at all. *)
+      let bad = { (sample ()) with Record.seconds = Float.nan } in
       ignore
-        (get_error "malformed snapshot rejected"
+        (get_error "NaN seconds rejected"
            (Bench.Sink.record_run ~history_path ~provenance:prov
-              ~legacy_path:bad_path "{\"bench\": \"mystery\"}"));
-      check_false "no torn legacy file" (Sys.file_exists bad_path);
-      check_int "history unchanged" 8
-        (List.length (get_ok "load" (History.load ~path:history_path))))
+              [ sample (); bad ]));
+      check_true "history unchanged"
+        (get_ok "load" (History.load ~path:history_path) = records))
 
 let suites =
   [
@@ -683,14 +531,8 @@ let suites =
         test "newer schema version refused" history_schema_bump_detected;
         test "append accumulates atomically" history_append_accumulates;
         test "encode validates records" history_encode_validates;
-      ] );
-    ( "bench.migrate",
-      [
-        test "csr fixture, byte-for-byte" migrate_csr_fixture;
-        test "spmm fixture, byte-for-byte" migrate_spmm_fixture;
-        test "store fixture, byte-for-byte" migrate_store_fixture;
-        test "unknown shapes rejected" migrate_rejects_unknown;
-        test "checked-in snapshots migrate" migrate_checked_in_snapshots;
+        test "committed trajectory holds every ablation"
+          history_committed_trajectory;
       ] );
     ( "bench.gate",
       [
@@ -706,7 +548,9 @@ let suites =
     ( "bench.cli",
       [
         test "compare exit codes" cli_compare_exit_codes;
-        test "history and ingest exit codes" cli_history_and_ingest;
+        test "history exit codes" cli_history_exit_codes;
       ] );
-    ("bench.sink", [ test "record_run writes snapshot + trajectory" sink_record_run ]);
+    ( "bench.sink",
+      [ test "record_run writes stamped records to the trajectory" sink_record_run ]
+    );
   ]

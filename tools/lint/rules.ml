@@ -302,10 +302,10 @@ let marshal_outside_store =
 
 (* ------------------------------------------------------------------ *)
 (* bench-json-outside-bench: the bench trajectory subsystem (lib/bench)
-   owns the BENCH snapshot/trajectory filenames. A module elsewhere
-   spelling one as a literal is about to write a bench artifact without
-   going through Bench.Sink — bypassing migration into the trajectory,
-   provenance stamping and the atomic-write discipline. *)
+   owns the BENCH trajectory filename. A module elsewhere spelling one
+   as a literal is about to write a bench artifact without going
+   through Bench.Sink — bypassing validation, provenance stamping and
+   the atomic-write discipline. *)
 
 let is_bench_json_literal s =
   let base = Filename.basename s in
@@ -316,8 +316,8 @@ let bench_json_outside_bench =
     Syntactic.name = "bench-json-outside-bench";
     doc =
       "a BENCH_<name>.json filename literal outside lib/bench/: bench \
-       artifacts are written through Bench.Sink (which owns the paths) so \
-       every snapshot also lands in the BENCH_HISTORY.json trajectory.";
+       results are written through Bench.Sink (Bench.History owns the \
+       path), so every one lands in the BENCH_HISTORY.json trajectory.";
     applies = (fun path -> not (has_prefix ~prefix:"lib/bench/" path));
     check =
       Syntactic.Ast_rule
