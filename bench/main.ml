@@ -8,7 +8,7 @@
    ablation pairs called out in DESIGN.md:
    - sparse evolve vs dense matrix-vector product,
    - lumped birth-death step vs full-chain step,
-   - deflated power iteration vs full Jacobi for lambda_2,
+   - deflated power iteration for lambda_2,
    - logit transition-row construction and coupling steps.
 
    The ablation phases race independent routes to the same result
@@ -197,10 +197,6 @@ let tests =
       (Staged.stage (fun () ->
            let chain = Lazy.force small_chain in
            ignore (Markov.Spectral.lambda2 ~tol:1e-9 chain (Lazy.force small_pi))));
-    Test.make ~name:"kernel/lambda2-jacobi"
-      (Staged.stage (fun () ->
-           let chain = Lazy.force small_chain in
-           ignore (Markov.Spectral.spectrum chain (Lazy.force small_pi))));
     Test.make ~name:"logit/simulate-step"
       (Staged.stage
          (let rng = Prob.Rng.create 1 in

@@ -324,8 +324,15 @@ let spectrum game_id n beta count stores no_cache_flags =
     Array.iteri
       (fun i v -> if i < count then Printf.printf "  lambda_%d = %.8f\n" (i + 1) v)
       values;
-    Printf.printf "relaxation time = %.4f\n"
-      (Markov.Spectral.relaxation_time chain pi)
+    (* λ★ comes from the spectrum just printed: one solve, not two. A
+       gap at or below zero is round-off in 1 - λ★ (the chain is
+       irreducible), so the spectrum cannot resolve the relaxation
+       time; say so instead of dividing by it. *)
+    let gap = 1. -. Markov.Spectral.lambda_star_of_spectrum values in
+    if gap > 0. then
+      Printf.printf "relaxation time = %.4f\n" (Markov.Spectral.relaxation_time_of_gap gap)
+    else
+      Printf.printf "relaxation time unresolved: computed 1 - lambda_star = %.3e\n" gap
   end
   else begin
     let values = Linalg.Eigen.general_spectrum (Markov.Chain.to_dense chain) in

@@ -8,7 +8,8 @@
 (** Raised by iterative numerical routines when an iteration budget is
     exhausted before the convergence criterion is met: power iteration
     ({!Markov.Stationary.by_power}), QR/QL eigensolvers
-    ({!Linalg.Eigen.general_spectrum}, {!Linalg.Tridiag.eigensystem}),
+    ({!Linalg.Eigen.general_spectrum}, {!Linalg.Eigen.symmetric},
+    {!Linalg.Tridiag.eigensystem}),
     coupling-from-the-past ({!Logit.Perfect_sampling.sample}) and
     restart-bounded randomized constructions
     ({!Graphs.Generators.random_regular}).

@@ -28,7 +28,7 @@ let create ~strategies ~beta phi =
     Linalg.Mat.init strategies strategies (fun a b ->
         exp (-.beta *. (phi a b -. phi_min)))
   in
-  let values, vectors = Linalg.Eigen.jacobi scaled in
+  let values, vectors = Linalg.Eigen.symmetric scaled in
   { m = strategies; beta; phi; phi_min; values; vectors; scaled }
 
 let check_ring n = if n < 3 then invalid_arg "Transfer_matrix: ring needs n >= 3"

@@ -1,71 +1,132 @@
-let off_diagonal_mass m =
-  let n = fst (Mat.dims m) in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let x = Mat.get m i j in
-      acc := !acc +. (2. *. x *. x)
-    done
+(* Householder reduction of the symmetric matrix [a] (n×n, row-major,
+   overwritten) to tridiagonal form: EISPACK tred2, 0-indexed, with the
+   orthogonal basis accumulated in [a] as rows instead of columns, so
+   every inner loop below walks contiguous memory (and indexes the raw
+   array for the reason given at Tridiag's rotation loop). Writing V for
+   EISPACK's working matrix, V(r, c) lives at a.((c * n) + r). Only the
+   upper triangle of the input is read. Returns the diagonal and the
+   off-diagonal of T (length n - 1, entry i coupling i and i + 1) and
+   leaves in the rows of [a] the basis B with input = Bᵀ T B. *)
+let tred2 a n =
+  let d = Array.make n 0. and e = Array.make n 0. in
+  let v r c = a.((c * n) + r) in
+  for j = 0 to n - 1 do
+    d.(j) <- v (n - 1) j
   done;
-  sqrt !acc
-
-(* One Jacobi rotation annihilating entry (p, q), updating both the
-   working matrix [a] and the accumulated eigenvector matrix [v]. *)
-let rotate a v p q =
-  let apq = Mat.get a p q in
-  (* lint: allow float-equality — the rotation is a no-op only on an exact zero *)
-  if apq <> 0. then begin
-    let app = Mat.get a p p and aqq = Mat.get a q q in
-    let theta = (aqq -. app) /. (2. *. apq) in
-    (* Stable formula for t = tan of the rotation angle. *)
-    let t =
-      let s = if theta >= 0. then 1. else -1. in
-      s /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.))
-    in
-    let c = 1. /. sqrt ((t *. t) +. 1.) in
-    let s = t *. c in
-    let n = fst (Mat.dims a) in
-    for k = 0 to n - 1 do
-      let akp = Mat.get a k p and akq = Mat.get a k q in
-      Mat.set a k p ((c *. akp) -. (s *. akq));
-      Mat.set a k q ((s *. akp) +. (c *. akq))
+  for i = n - 1 downto 1 do
+    (* Scale the row to avoid under/overflow. *)
+    let scale = ref 0. in
+    for k = 0 to i - 1 do
+      scale := !scale +. Float.abs d.(k)
     done;
-    for k = 0 to n - 1 do
-      let apk = Mat.get a p k and aqk = Mat.get a q k in
-      Mat.set a p k ((c *. apk) -. (s *. aqk));
-      Mat.set a q k ((s *. apk) +. (c *. aqk))
-    done;
-    for k = 0 to n - 1 do
-      let vkp = Mat.get v k p and vkq = Mat.get v k q in
-      Mat.set v k p ((c *. vkp) -. (s *. vkq));
-      Mat.set v k q ((s *. vkp) +. (c *. vkq))
-    done
-  end
-
-let jacobi ?(tol = 1e-12) ?(max_sweeps = 100) m =
-  if not (Mat.is_symmetric ~tol:1e-8 m) then
-    invalid_arg "Eigen.jacobi: matrix is not symmetric";
-  let n = fst (Mat.dims m) in
-  let a = Mat.copy m in
-  let v = Mat.identity n in
-  if n > 1 then begin
-    let sweep = ref 0 in
-    while off_diagonal_mass a > tol && !sweep < max_sweeps do
-      incr sweep;
-      for p = 0 to n - 2 do
-        for q = p + 1 to n - 1 do
-          rotate a v p q
+    let h = ref 0. in
+    (* lint: allow float-equality — an exactly-zero row needs no reflection *)
+    if !scale = 0. then begin
+      e.(i) <- d.(i - 1);
+      for j = 0 to i - 1 do
+        d.(j) <- v (i - 1) j;
+        a.((j * n) + i) <- 0.;
+        a.((i * n) + j) <- 0.
+      done
+    end
+    else begin
+      let scale = !scale in
+      (* The Householder vector. *)
+      for k = 0 to i - 1 do
+        d.(k) <- d.(k) /. scale;
+        h := !h +. (d.(k) *. d.(k))
+      done;
+      let f = d.(i - 1) in
+      let g = if f > 0. then -.sqrt !h else sqrt !h in
+      e.(i) <- scale *. g;
+      h := !h -. (f *. g);
+      d.(i - 1) <- f -. g;
+      for j = 0 to i - 1 do
+        e.(j) <- 0.
+      done;
+      (* The similarity transformation of the remaining columns. *)
+      for j = 0 to i - 1 do
+        let f = d.(j) in
+        let row = j * n in
+        a.((i * n) + j) <- f;
+        let g = ref (e.(j) +. (a.(row + j) *. f)) in
+        for k = j + 1 to i - 1 do
+          let vkj = a.(row + k) in
+          g := !g +. (vkj *. d.(k));
+          e.(k) <- e.(k) +. (vkj *. f)
+        done;
+        e.(j) <- !g
+      done;
+      let h = !h in
+      let f = ref 0. in
+      for j = 0 to i - 1 do
+        e.(j) <- e.(j) /. h;
+        f := !f +. (e.(j) *. d.(j))
+      done;
+      let hh = !f /. (h +. h) in
+      for j = 0 to i - 1 do
+        e.(j) <- e.(j) -. (hh *. d.(j))
+      done;
+      for j = 0 to i - 1 do
+        let f = d.(j) and g = e.(j) in
+        let row = j * n in
+        for k = j to i - 1 do
+          a.(row + k) <- a.(row + k) -. ((f *. e.(k)) +. (g *. d.(k)))
+        done;
+        d.(j) <- v (i - 1) j;
+        a.(row + i) <- 0.
+      done
+    end;
+    d.(i) <- !h
+  done;
+  (* Accumulate the transformations. *)
+  for i = 0 to n - 2 do
+    let row = i * n and next = (i + 1) * n in
+    a.(row + n - 1) <- a.(row + i);
+    a.(row + i) <- 1.;
+    let h = d.(i + 1) in
+    (* lint: allow float-equality — exactly-zero h marks a skipped reflection *)
+    if h <> 0. then begin
+      for k = 0 to i do
+        d.(k) <- a.(next + k) /. h
+      done;
+      for j = 0 to i do
+        let col = j * n in
+        let g = ref 0. in
+        for k = 0 to i do
+          g := !g +. (a.(next + k) *. a.(col + k))
+        done;
+        let g = !g in
+        for k = 0 to i do
+          a.(col + k) <- a.(col + k) -. (g *. d.(k))
         done
       done
+    end;
+    for k = 0 to i do
+      a.(next + k) <- 0.
     done
-  end;
-  let order = Array.init n Fun.id in
-  Array.sort (fun i j -> compare (Mat.get a j j) (Mat.get a i i)) order;
-  let values = Array.map (fun i -> Mat.get a i i) order in
-  let vectors = Mat.init n n (fun i k -> Mat.get v i order.(k)) in
-  (values, vectors)
+  done;
+  for j = 0 to n - 1 do
+    let last = (j * n) + n - 1 in
+    d.(j) <- a.(last);
+    a.(last) <- 0.
+  done;
+  a.((n * n) - 1) <- 1.;
+  (* EISPACK's e.(i) couples i - 1 and i. *)
+  (d, Array.sub e 1 (n - 1))
 
-let eigenvalues m = fst (jacobi m)
+let symmetric m =
+  if not (Mat.is_symmetric ~tol:1e-8 m) then
+    invalid_arg "Eigen.symmetric: matrix is not symmetric";
+  let n = fst (Mat.dims m) in
+  if n = 0 then ([||], Mat.identity 0)
+  else begin
+    let basis = Mat.copy m in
+    let diag, off = tred2 basis.Mat.data n in
+    Tridiag.eigensystem_in_basis ~basis ~diag ~off
+  end
+
+let eigenvalues m = fst (symmetric m)
 
 (* Deterministic pseudo-random starting vector; a fixed generator keeps
    spectral computations reproducible without threading an RNG here. *)

@@ -2,9 +2,10 @@
 
     Two engines are provided:
 
-    - a cyclic Jacobi rotation solver for full spectra of symmetric
-      matrices (exact to working precision, O(n³) per sweep, suitable
-      for state spaces up to a few thousand states);
+    - a dense symmetric solver for full spectra and eigenvectors:
+      Householder reduction to tridiagonal form followed by the
+      implicit QL loop of {!Tridiag} (O(n³), suitable for state spaces
+      up to a few thousand states);
     - power iteration with optional deflation for the leading and
       second eigenvalues of large matrices where only matrix-vector
       products are affordable.
@@ -13,19 +14,23 @@
     transition matrix; the eigenvalues are invariant under that
     similarity transform. *)
 
-(** Full spectrum of a symmetric matrix by the cyclic Jacobi method.
+(** Full spectrum of a symmetric matrix.
 
-    [jacobi ?tol ?max_sweeps m] returns the eigenvalues of the
-    symmetric matrix [m] sorted in non-increasing order, together with
-    the matrix of corresponding eigenvectors (column [k] pairs with
-    eigenvalue [k]). [tol] bounds the final off-diagonal Frobenius
-    mass (default [1e-12]); [max_sweeps] caps the number of cyclic
-    sweeps (default [100]).
+    [symmetric m] returns the eigenvalues of the symmetric matrix [m]
+    sorted in non-increasing order, together with the orthogonal
+    matrix of corresponding eigenvectors (column [k] pairs with
+    eigenvalue [k]). A copy of [m] is reduced to tridiagonal form by
+    Householder reflections (EISPACK [tred2]), whose accumulated
+    orthogonal basis then seeds the QL rotations of
+    {!Tridiag.eigensystem_in_basis} ([tql2]); the reduction reads
+    only the upper triangle of [m].
 
-    Raises [Invalid_argument] if [m] is not symmetric. *)
-val jacobi : ?tol:float -> ?max_sweeps:int -> Mat.t -> float array * Mat.t
+    Raises [Invalid_argument] if [m] is not symmetric to within
+    [1e-8], and [Common.No_convergence] if one eigenvalue needs more
+    than 50 QL sweeps. *)
+val symmetric : Mat.t -> float array * Mat.t
 
-(** [eigenvalues m] is [fst (jacobi m)]. *)
+(** [eigenvalues m] is [fst (symmetric m)]. *)
 val eigenvalues : Mat.t -> float array
 
 (** [power_iteration ?tol ?max_iter ?seed av n] estimates the dominant

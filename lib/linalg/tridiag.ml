@@ -1,15 +1,28 @@
 let hypot a b = Float.hypot a b
 let sign_of a b = if b >= 0. then Float.abs a else -.Float.abs a
 
-(* Implicit QL with Wilkinson shift, accumulating rotations into [z]
-   (EISPACK tql2, 0-indexed). [d] holds the diagonal and receives the
-   eigenvalues; [e] holds the off-diagonal in e.(0 .. n-2). *)
+(* Rotate basis rows [i] and [i + 1] of the flat row-major [z] (row
+   length [n]) by the QL rotation (c, s). The basis is kept as rows so
+   this sweep is contiguous. It indexes the array directly: dune's dev
+   profile compiles with -opaque, so a cross-module [Mat.get]/[Mat.set]
+   here would be an out-of-line call boxing a float per element, in the
+   loop that dominates a dense eigendecomposition. *)
+let rotate_rows z n i c s =
+  let r0 = i * n and r1 = (i + 1) * n in
+  for k = 0 to n - 1 do
+    let z0 = z.(r0 + k) and z1 = z.(r1 + k) in
+    z.(r1 + k) <- (s *. z0) +. (c *. z1);
+    z.(r0 + k) <- (c *. z0) -. (s *. z1)
+  done
+
+(* Implicit QL with Wilkinson shift, accumulating rotations into the
+   basis rows of [z] (EISPACK tql2, 0-indexed, with the basis
+   transposed). [d] holds the diagonal and receives the eigenvalues;
+   [e] holds the off-diagonal in e.(0 .. n-2), e.(n-1) is workspace. *)
 let tql2 d e z =
   let n = Array.length d in
   if n = 1 then ()
   else begin
-    (* Shift the off-diagonal up: the classic loop expects e.(i) to
-       couple rows i and i+1, which is already our layout. *)
     let eps = epsilon_float in
     for l = 0 to n - 1 do
       let iter = ref 0 in
@@ -54,13 +67,7 @@ let tql2 d e z =
               p := !s *. rr;
               d.(idx + 1) <- gg +. !p;
               g := (!c *. rr) -. b;
-              (* Accumulate the rotation into the eigenvector matrix. *)
-              for k = 0 to n - 1 do
-                let zk1 = Mat.get z k (idx + 1) in
-                let zk0 = Mat.get z k idx in
-                Mat.set z k (idx + 1) ((!s *. zk0) +. (!c *. zk1));
-                Mat.set z k idx ((!c *. zk0) -. (!s *. zk1))
-              done;
+              rotate_rows z n idx !c !s;
               decr i
             end
           done;
@@ -76,21 +83,25 @@ let tql2 d e z =
     done
   end
 
-let eigensystem ~diag ~off =
+let eigensystem_in_basis ~basis ~diag ~off =
   let n = Array.length diag in
   if n = 0 then invalid_arg "Tridiag.eigensystem: empty matrix";
   if Array.length off <> Int.max 0 (n - 1) then
     invalid_arg "Tridiag.eigensystem: off-diagonal length must be n-1";
+  if Mat.dims basis <> (n, n) then invalid_arg "Tridiag.eigensystem: basis must be n x n";
   let d = Array.copy diag in
   (* e needs a slot for e.(n-1) used as workspace. *)
   let e = Array.make n 0. in
   Array.blit off 0 e 0 (n - 1);
-  let z = Mat.identity n in
+  let z = basis.Mat.data in
   tql2 d e z;
   let order = Array.init n Fun.id in
   Array.sort (fun i j -> compare d.(j) d.(i)) order;
   let values = Array.map (fun i -> d.(i)) order in
-  let vectors = Mat.init n n (fun i k -> Mat.get z i order.(k)) in
+  let vectors = Mat.init n n (fun i k -> z.((order.(k) * n) + i)) in
   (values, vectors)
+
+let eigensystem ~diag ~off =
+  eigensystem_in_basis ~basis:(Mat.identity (Array.length diag)) ~diag ~off
 
 let eigenvalues ~diag ~off = fst (eigensystem ~diag ~off)

@@ -49,10 +49,7 @@ let mixing_time ?eps ?max_steps t =
 
 let spectrum t = Spectral.spectrum (to_chain t) (stationary t)
 
-let relaxation_time t =
-  let values = spectrum t in
-  let star = Float.max values.(1) (Float.abs values.(Array.length values - 1)) in
-  1. /. (1. -. star)
+let relaxation_time t = 1. /. (1. -. Spectral.lambda_star_of_spectrum (spectrum t))
 
 let decomposition t =
   let n1 = size t in

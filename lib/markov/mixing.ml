@@ -202,7 +202,7 @@ let lower_mixing_time_spectral ~gap ~eps =
   if gap <= 0. || eps <= 0. then invalid_arg "Mixing.lower_mixing_time_spectral";
   ((1. /. gap) -. 1.) *. log (1. /. (2. *. eps))
 
-let decompose t pi = Linalg.Eigen.jacobi (Spectral.symmetrize t pi)
+let decompose t pi = Linalg.Eigen.symmetric (Spectral.symmetrize t pi)
 
 (* λ^t with sign handling and underflow-to-zero for huge t. *)
 let eigen_pow lambda t =
@@ -214,45 +214,77 @@ let eigen_pow lambda t =
     if lambda < 0. && t land 1 = 1 then -.magnitude else magnitude
   end
 
-let tv_at_spectral ~decomposition pi ~start ~steps =
-  let values, u = decomposition in
+(* [spectral_probe ~eps ~decomposition pi ~starts] is the probe
+   "d(t) <= eps" as a function of t. From A = U Λ Uᵀ,
+   Pᵗ(x,y) = Σ_k λ_kᵗ U(x,k) U(y,k) √(π(y)/π(x)). Per probe, λ_kᵗ is
+   computed once and the terms it underflows to zero are dropped; per
+   start, w_k = λ_kᵗ U(x,k) is formed once, and each Pᵗ(x,y) sums
+   w_k U(y,k) in ascending k. The float operations per start are those
+   of the one-start formula, so the TV of a start does not depend on
+   which other starts are probed. Starts are tried one at a time,
+   first the one that failed the previous probe, and the probe fails
+   at the first start whose TV is not <= eps (a NaN fails it too). *)
+let spectral_probe ~eps ~decomposition:(values, u) pi ~starts =
   let n = Array.length pi in
-  if start < 0 || start >= n then invalid_arg "Mixing.tv_at_spectral: bad start";
-  if steps < 0 then invalid_arg "Mixing.tv_at_spectral: negative steps";
-  let k_count = Array.length values in
-  (* Pᵗ(x,y) = Σ_k λ_kᵗ U(x,k) U(y,k) √(π(y)/π(x)). *)
-  let powers = Array.map (fun lambda -> eigen_pow lambda steps) values in
+  let kk = Array.length values in
+  if Linalg.Mat.dims u <> (n, kk) then
+    invalid_arg "Mixing.mixing_time_from_decomposition: dimension mismatch";
+  check_starts n starts;
+  let u = u.Linalg.Mat.data in
   let sqrt_pi = Array.map sqrt pi in
-  let acc = ref 0. in
-  for y = 0 to n - 1 do
-    let p = ref 0. in
-    for k = 0 to k_count - 1 do
+  let starts = Array.of_list starts in
+  let count = Array.length starts in
+  let last_failed = ref 0 in
+  let live = Array.make kk 0 and w = Array.make kk 0. in
+  fun steps ->
+    let powers = Array.map (fun lambda -> eigen_pow lambda steps) values in
+    let nnz = ref 0 in
+    for k = 0 to kk - 1 do
       (* lint: allow float-equality — exact-zero skip of underflowed spectral terms *)
-      if powers.(k) <> 0. then
-        p := !p +. (powers.(k) *. Linalg.Mat.get u start k *. Linalg.Mat.get u y k)
+      if powers.(k) <> 0. then begin
+        live.(!nnz) <- k;
+        incr nnz
+      end
     done;
-    let pt = !p *. sqrt_pi.(y) /. sqrt_pi.(start) in
-    acc := !acc +. Float.abs (pt -. pi.(y))
-  done;
-  0.5 *. !acc
+    let nnz = !nnz in
+    let tv start =
+      let row = start * kk in
+      for j = 0 to nnz - 1 do
+        let k = live.(j) in
+        w.(j) <- powers.(k) *. u.(row + k)
+      done;
+      let acc = ref 0. in
+      for y = 0 to n - 1 do
+        let row = y * kk in
+        let p = ref 0. in
+        for j = 0 to nnz - 1 do
+          p := !p +. (w.(j) *. u.(row + live.(j)))
+        done;
+        let pt = !p *. sqrt_pi.(y) /. sqrt_pi.(start) in
+        acc := !acc +. Float.abs (pt -. pi.(y))
+      done;
+      0.5 *. !acc
+    in
+    let fails i =
+      let failed = not (tv starts.(i) <= eps) in
+      if failed then last_failed := i;
+      failed
+    in
+    let first = !last_failed in
+    let rec others i = i < count && ((i <> first && fails i) || others (i + 1)) in
+    not (fails first || others 0)
 
 let mixing_time_from_decomposition ?(eps = 0.25) ?(max_steps = max_int / 4)
     ~decomposition pi ~starts =
   check_max_steps "Mixing.mixing_time_from_decomposition" max_steps;
-  if starts = [] then invalid_arg "Mixing: empty start set";
-  let d steps =
-    List.fold_left
-      (fun acc start ->
-        Float.max acc (tv_at_spectral ~decomposition pi ~start ~steps))
-      0. starts
-  in
-  if d 0 <= eps then Some 0
+  let mixed = spectral_probe ~eps ~decomposition pi ~starts in
+  if mixed 0 then Some 0
   else if max_steps = 0 then None
   else begin
     (* Double to bracket within the budget, then binary search on the
        monotone d(·); every probed time is at most [max_steps]. *)
     let rec bracket hi =
-      if d hi <= eps then Some hi
+      if mixed hi then Some hi
       else if hi >= max_steps then None
       else bracket (Int.min max_steps (2 * hi))
     in
@@ -264,7 +296,7 @@ let mixing_time_from_decomposition ?(eps = 0.25) ?(max_steps = max_int / 4)
           if hi - lo <= 1 then hi
           else
             let mid = lo + ((hi - lo) / 2) in
-            if d mid <= eps then search lo mid else search mid hi
+            if mixed mid then search lo mid else search mid hi
         in
         Some (search (hi / 2) hi)
   end

@@ -169,21 +169,31 @@ val mixing_time_spectral :
   ?eps:float -> ?max_steps:int -> Chain.t -> float array -> starts:int list ->
   int option
 
-(** [tv_at_spectral t pi ~decomposition ~start ~steps] evaluates
-    ‖Pᵗ(start,·) - π‖_TV at [t = steps] from a precomputed
-    decomposition (see {!decompose}). *)
-val tv_at_spectral :
-  decomposition:float array * Linalg.Mat.t -> float array -> start:int ->
-  steps:int -> float
-
 (** [decompose t pi] is the eigendecomposition [(eigenvalues, U)] of
-    the symmetrised chain, for repeated {!tv_at_spectral} queries. *)
+    the symmetrised chain ({!Linalg.Eigen.symmetric} of
+    {!Spectral.symmetrize}), for repeated
+    {!mixing_time_from_decomposition} queries. *)
 val decompose : Chain.t -> float array -> float array * Linalg.Mat.t
 
 (** [mixing_time_from_decomposition ?eps ?max_steps ~decomposition pi
     ~starts] is {!mixing_time_spectral} driven by a caller-supplied
-    eigendecomposition — e.g. the tridiagonal one of a birth–death
-    chain, which avoids the dense Jacobi solve entirely. *)
+    eigendecomposition [(values, U)] of A = D^{1/2} P D^{-1/2} — e.g.
+    the tridiagonal one of a birth–death chain, which skips the dense
+    reduction entirely.
+
+    The search probes d(0), then t = 1, 2, 4, … up to [max_steps],
+    then binary-searches the bracket. A probe asks only whether
+    d(t) ≤ [eps]: it computes λ_kᵗ once, then checks the starts one at
+    a time, first the start that failed the previous probe, and stops
+    at the first start whose TV is not ≤ [eps] (a NaN TV fails the
+    probe). Each start's TV is computed by the same float operations
+    whichever starts are probed with it, so the answer does not depend
+    on the order of [starts]. Every start is validated before the
+    first probe.
+
+    Raises [Invalid_argument] on a negative [max_steps], an empty or
+    out-of-range start set, or a decomposition whose [U] is not
+    [Array.length pi] × [Array.length values]. *)
 val mixing_time_from_decomposition :
   ?eps:float -> ?max_steps:int -> decomposition:float array * Linalg.Mat.t ->
   float array -> starts:int list -> int option

@@ -2,7 +2,8 @@
 
     A reversible chain with stationary distribution π is similar to
     the symmetric matrix A = D^{1/2} P D^{-1/2} (D = diag π), so its
-    spectrum is real and computable with the Jacobi solver. Theorem
+    spectrum is real and computable with the dense symmetric solver
+    {!Linalg.Eigen.symmetric}. Theorem
     3.1 of the paper shows that for logit chains of potential games
     the whole spectrum is non-negative, hence λ★ = λ₂ and
     t_rel = 1/(1-λ₂). *)
@@ -27,6 +28,13 @@ val lambda2 : ?tol:float -> ?max_iter:int -> Chain.t -> float array -> float
 (** [relaxation_time_of_gap gap] is 1/gap; raises on non-positive
     gap. *)
 val relaxation_time_of_gap : float -> float
+
+(** [lambda_star_of_spectrum values] is λ★ = max(λ₂, |λ_min|) of a
+    spectrum sorted in non-increasing order (as {!spectrum} returns
+    it), so one solve can serve both the eigenvalues and the
+    relaxation time. Raises [Invalid_argument] on fewer than two
+    values. *)
+val lambda_star_of_spectrum : float array -> float
 
 (** [relaxation_time t pi] is 1/(1-λ★) from the full spectrum:
     λ★ = max(λ₂, |λ_min|). *)

@@ -66,3 +66,15 @@ let contains_substring haystack needle =
     done;
     !found
   end
+
+(* The logit chain and Gibbs law of a catalog game ("ring", "clique",
+   "curve", ...), built the way the CLI and the daemon build them. *)
+let catalog_chain game ~n ~beta =
+  match Serve.Catalog.find game with
+  | None -> Alcotest.failf "catalog has no game %S" game
+  | Some spec -> (
+      match spec.Serve.Catalog.build ~n ~beta with
+      | _, None -> Alcotest.failf "%s has no potential" game
+      | g, Some phi ->
+          ( Logit.Logit_dynamics.chain g ~beta,
+            Logit.Gibbs.stationary (Games.Game.space g) phi ~beta ))

@@ -116,16 +116,21 @@ let lu_singular () =
 
 (* ----- Eigen ----- *)
 
+(* The jacobi cases pin the test-side oracle (test/jacobi.ml) that the
+   library solver is checked against below. *)
+
 let jacobi_known () =
   (* [[2,1],[1,2]] has eigenvalues 3 and 1. *)
-  let values, vectors = Eigen.jacobi (Mat.of_rows [| [| 2.; 1. |]; [| 1.; 2. |] |]) in
+  let values, vectors =
+    Jacobi.eigensystem (Mat.of_rows [| [| 2.; 1. |]; [| 1.; 2. |] |])
+  in
   check_array ~tol:1e-10 "values" [| 3.; 1. |] values;
   (* Eigenvector for 3 is (1,1)/sqrt 2 up to sign. *)
   let v0 = Mat.col vectors 0 in
   check_float ~tol:1e-10 "vector ratio" 1. (v0.(0) /. v0.(1))
 
 let jacobi_diag () =
-  let values = Eigen.eigenvalues (Mat.of_rows [| [| 5.; 0. |]; [| 0.; -2. |] |]) in
+  let values = Jacobi.eigenvalues (Mat.of_rows [| [| 5.; 0. |]; [| 0.; -2. |] |]) in
   check_array "diag" [| 5.; -2. |] values
 
 let jacobi_reconstruction () =
@@ -134,7 +139,7 @@ let jacobi_reconstruction () =
   let n = 8 in
   let m0 = Mat.init n n (fun _ _ -> Prob.Rng.float r -. 0.5) in
   let a = Mat.scale 0.5 (Mat.add m0 (Mat.transpose m0)) in
-  let values, v = Eigen.jacobi a in
+  let values, v = Jacobi.eigensystem a in
   let d = Mat.init n n (fun i j -> if i = j then values.(i) else 0.) in
   let rebuilt = Mat.mul (Mat.mul v d) (Mat.transpose v) in
   check_true "V D V^T = A" (Mat.approx_equal ~tol:1e-8 rebuilt a)
@@ -144,13 +149,135 @@ let jacobi_orthogonal () =
   let n = 6 in
   let m0 = Mat.init n n (fun _ _ -> Prob.Rng.float r) in
   let a = Mat.scale 0.5 (Mat.add m0 (Mat.transpose m0)) in
-  let _, v = Eigen.jacobi a in
+  let _, v = Jacobi.eigensystem a in
   check_true "V^T V = I"
     (Mat.approx_equal ~tol:1e-9 (Mat.mul (Mat.transpose v) v) (Mat.identity n))
 
 let jacobi_rejects_asymmetric () =
   check_raises_invalid "asymmetric" (fun () ->
-      Eigen.jacobi (Mat.of_rows [| [| 1.; 2. |]; [| 0.; 1. |] |]))
+      Jacobi.eigensystem (Mat.of_rows [| [| 1.; 2. |]; [| 0.; 1. |] |]))
+
+let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.Mat.data)
+
+(* The contract of Eigen.symmetric on one matrix, with Jacobi as the
+   oracle: eigenvalues non-increasing and within 1e-12·max(1, ‖A‖_F)
+   of Jacobi's, ‖AV − VΛ‖_F ≤ 1e-10 and ‖VᵀV − I‖_F ≤ 1e-10. Returns
+   the first violation, if any. *)
+let symmetric_violation a =
+  let n = fst (Mat.dims a) in
+  let values, v = Eigen.symmetric a in
+  let oracle = Jacobi.eigenvalues a in
+  let tol = 1e-12 *. Float.max 1. (frobenius a) in
+  let lambda = Mat.init n n (fun i j -> if i = j then values.(i) else 0.) in
+  let residual = frobenius (Mat.sub (Mat.mul a v) (Mat.mul v lambda)) in
+  let orthogonality = frobenius (Mat.sub (Mat.mul (Mat.transpose v) v) (Mat.identity n)) in
+  let worst = ref 0. in
+  Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. oracle.(i)))) values;
+  let sorted = ref true in
+  for i = 1 to Array.length values - 1 do
+    if values.(i) > values.(i - 1) then sorted := false
+  done;
+  if Array.length values <> n || Mat.dims v <> (n, n) then Some "wrong shapes"
+  else if not !sorted then Some "eigenvalues not non-increasing"
+  else if not (!worst <= tol) then
+    Some (Printf.sprintf "eigenvalues off Jacobi by %.3g (tol %.3g)" !worst tol)
+  else if not (residual <= 1e-10) then Some (Printf.sprintf "|AV - VL|_F = %.3g" residual)
+  else if not (orthogonality <= 1e-10) then
+    Some (Printf.sprintf "|V'V - I|_F = %.3g" orthogonality)
+  else None
+
+let random_symmetric r n =
+  let m0 = Mat.init n n (fun _ _ -> (2. *. Prob.Rng.float r) -. 1.) in
+  Mat.scale 0.5 (Mat.add m0 (Mat.transpose m0))
+
+(* Q Λ Qᵀ with Λ drawn from three values, so eigenvalues repeat; Q is
+   a product of two Householder reflections. *)
+let repeated_spectrum r n =
+  let reflection () =
+    let v = Array.init n (fun _ -> Prob.Rng.float r -. 0.5) in
+    let vv = Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v in
+    Mat.init n n (fun i j ->
+        (if i = j then 1. else 0.) -. (if vv > 0. then 2. *. v.(i) *. v.(j) /. vv else 0.))
+  in
+  let q = Mat.mul (reflection ()) (reflection ()) in
+  let choices = [| -1.; 0.5; 2. |] in
+  let lambda =
+    Mat.init n n (fun i j -> if i = j then choices.(Prob.Rng.int r 3) else 0.)
+  in
+  let a = Mat.mul (Mat.mul q lambda) (Mat.transpose q) in
+  Mat.scale 0.5 (Mat.add a (Mat.transpose a))
+
+let block_diagonal r n =
+  let cut = Prob.Rng.int r (n + 1) in
+  let top = random_symmetric r cut and bottom = random_symmetric r (n - cut) in
+  Mat.init n n (fun i j ->
+      if i < cut && j < cut then Mat.get top i j
+      else if i >= cut && j >= cut then Mat.get bottom (i - cut) (j - cut)
+      else 0.)
+
+let symmetric_matches_jacobi =
+  QCheck.Test.make ~name:"symmetric = jacobi on random symmetric matrices" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Prob.Rng.create seed in
+      let n = 1 + Prob.Rng.int r 40 in
+      let kind, a =
+        match seed mod 5 with
+        | 0 -> ("dense", random_symmetric r n)
+        | 1 ->
+            (* Diagonal, with repeated entries. *)
+            ( "diagonal",
+              Mat.init n n (fun i j ->
+                  if i = j then float_of_int (Prob.Rng.int r 4) else 0.) )
+        | 2 -> ("zero", Mat.create n n 0.)
+        | 3 -> ("repeated", repeated_spectrum r n)
+        | _ -> ("block", block_diagonal r n)
+      in
+      (match symmetric_violation a with
+      | None -> ()
+      | Some why -> QCheck.Test.fail_reportf "%s n=%d: %s" kind n why);
+      (* Any entry pulled off its mirror by more than the 1e-8 symmetry
+         tolerance is rejected. *)
+      if n >= 2 then begin
+        let i = Prob.Rng.int r n in
+        let j = (i + 1 + Prob.Rng.int r (n - 1)) mod n in
+        let skewed =
+          Mat.init n n (fun p q -> Mat.get a p q +. if p = i && q = j then 1e-6 else 0.)
+        in
+        match Eigen.symmetric skewed with
+        | exception Invalid_argument _ -> ()
+        | _ -> QCheck.Test.fail_reportf "%s n=%d: asymmetric input accepted" kind n
+      end;
+      true)
+
+let symmetric_on_logit_chains () =
+  List.iter
+    (fun game ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun beta ->
+              let chain, pi = catalog_chain game ~n ~beta in
+              match symmetric_violation (Markov.Spectral.symmetrize chain pi) with
+              | None -> ()
+              | Some why -> Alcotest.failf "%s n=%d beta=%g: %s" game n beta why)
+            [ 0.5; 2. ])
+        [ 3; 4; 5 ])
+    [ "ring"; "clique"; "curve" ]
+
+let symmetric_edges () =
+  let values, vectors = Eigen.symmetric (Mat.create 0 0 0.) in
+  check_int "empty values" 0 (Array.length values);
+  check_true "empty vectors" (Mat.dims vectors = (0, 0));
+  let values, vectors = Eigen.symmetric (Mat.of_rows [| [| -3. |] |]) in
+  check_array "1x1 value" [| -3. |] values;
+  check_array "1x1 vector" [| 1. |] vectors.Mat.data;
+  check_array "eigenvalues = fst symmetric"
+    (fst (Eigen.symmetric (random_symmetric (rng ~seed:6 ()) 9)))
+    (Eigen.eigenvalues (random_symmetric (rng ~seed:6 ()) 9));
+  check_raises_invalid "asymmetric" (fun () ->
+      Eigen.symmetric (Mat.of_rows [| [| 1.; 2. |]; [| 0.; 1. |] |]));
+  check_raises_invalid "non-square" (fun () -> Eigen.symmetric (Mat.create 2 3 0.))
 
 let power_iteration_basic () =
   let a = Mat.of_rows [| [| 2.; 1. |]; [| 1.; 2. |] |] in
@@ -179,7 +306,7 @@ let general_matches_jacobi () =
   let n = 7 in
   let m0 = Mat.init n n (fun _ _ -> Prob.Rng.float r) in
   let a = Mat.scale 0.5 (Mat.add m0 (Mat.transpose m0)) in
-  let jac = Eigen.eigenvalues a in
+  let jac = Jacobi.eigenvalues a in
   let gen = Eigen.general_spectrum a in
   Array.iteri
     (fun i v ->
@@ -262,6 +389,9 @@ let suites =
         test "jacobi reconstruction" jacobi_reconstruction;
         test "jacobi orthogonality" jacobi_orthogonal;
         test "jacobi rejects asymmetric" jacobi_rejects_asymmetric;
+        qcheck symmetric_matches_jacobi;
+        test "symmetric on symmetrised logit chains" symmetric_on_logit_chains;
+        test "symmetric: empty, 1x1, invalid input" symmetric_edges;
         test "power iteration" power_iteration_basic;
         test "second eigenvalue 2-state" second_eigenvalue_two_state;
         test "general: rotation" general_rotation;

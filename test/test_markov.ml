@@ -784,6 +784,162 @@ let mixing_routes_agree_on_budgets () =
         routes)
     cases
 
+(* The spectral d(t) search as it stood before the early-exit probe:
+   every probe folds the full TV of every start with Float.max,
+   recomputing λᵗ and √π per start. The library's search must return
+   exactly what this one does. *)
+let reference_eigen_pow lambda t =
+  if t = 0 then 1.
+  (* lint: allow float-equality — exact zero short-circuits before log *)
+  else if lambda = 0. then 0.
+  else begin
+    let magnitude = exp (float_of_int t *. log (Float.abs lambda)) in
+    if lambda < 0. && t land 1 = 1 then -.magnitude else magnitude
+  end
+
+let reference_tv_at_spectral ~decomposition:(values, u) pi ~start ~steps =
+  let n = Array.length pi in
+  if start < 0 || start >= n then invalid_arg "reference: bad start";
+  let powers = Array.map (fun lambda -> reference_eigen_pow lambda steps) values in
+  let sqrt_pi = Array.map sqrt pi in
+  let acc = ref 0. in
+  for y = 0 to n - 1 do
+    let p = ref 0. in
+    for k = 0 to Array.length values - 1 do
+      (* lint: allow float-equality — exact-zero skip of underflowed spectral terms *)
+      if powers.(k) <> 0. then
+        p := !p +. (powers.(k) *. Linalg.Mat.get u start k *. Linalg.Mat.get u y k)
+    done;
+    let pt = !p *. sqrt_pi.(y) /. sqrt_pi.(start) in
+    acc := !acc +. Float.abs (pt -. pi.(y))
+  done;
+  0.5 *. !acc
+
+(* d(t) over [starts], memoised: it does not depend on eps or on the
+   budget, so one table serves every search over one decomposition. *)
+let reference_d ~decomposition pi ~starts =
+  let memo = Hashtbl.create 64 in
+  fun steps ->
+    match Hashtbl.find_opt memo steps with
+    | Some d -> d
+    | None ->
+        let d =
+          List.fold_left
+            (fun acc start ->
+              Float.max acc (reference_tv_at_spectral ~decomposition pi ~start ~steps))
+            0. starts
+        in
+        Hashtbl.replace memo steps d;
+        d
+
+let reference_spectral_search ?(eps = 0.25) ?(max_steps = max_int / 4) d =
+  if d 0 <= eps then Some 0
+  else if max_steps = 0 then None
+  else begin
+    let rec bracket hi =
+      if d hi <= eps then Some hi
+      else if hi >= max_steps then None
+      else bracket (Int.min max_steps (2 * hi))
+    in
+    match bracket 1 with
+    | None -> None
+    | Some hi ->
+        let rec search lo hi =
+          if hi - lo <= 1 then hi
+          else
+            let mid = lo + ((hi - lo) / 2) in
+            if d mid <= eps then search lo mid else search mid hi
+        in
+        Some (search (hi / 2) hi)
+  end
+
+(* The early-exit search = the reference on every eps and on the step
+   budgets around each answer, for dense decompositions of the catalog
+   games and for the tridiagonal decomposition of a lumped chain; the
+   answer also ignores the order of the starts. *)
+let mixing_spectral_search_matches_reference () =
+  let dense =
+    List.concat_map
+      (fun (game, n) ->
+        List.map
+          (fun beta ->
+            let chain, pi = catalog_chain game ~n ~beta in
+            (Printf.sprintf "%s n=%d beta=%g" game n beta, Mixing.decompose chain pi, pi))
+          [ 0.5; 2. ])
+      [ ("ring", 5); ("ring", 6); ("clique", 5); ("curve", 5) ]
+  in
+  let lumped =
+    let bd = Logit.Lumping.clique ~n:12 ~delta0:1.0 ~delta1:1.0 ~beta:0.3 in
+    ("lumped clique n=12", Birth_death.decomposition bd, Birth_death.stationary bd)
+  in
+  List.iter
+    (fun (name, decomposition, pi) ->
+      let starts = List.init (Array.length pi) Fun.id in
+      let d = reference_d ~decomposition pi ~starts in
+      List.iter
+        (fun eps ->
+          let t =
+            match reference_spectral_search ~eps d with
+            | Some t -> t
+            | None -> Alcotest.failf "%s eps=%g: reference found no t_mix" name eps
+          in
+          List.iter
+            (fun max_steps ->
+              let expected = reference_spectral_search ~eps ~max_steps d in
+              let label =
+                Printf.sprintf "%s eps=%g (t_mix %d) max_steps=%d" name eps t max_steps
+              in
+              check_true label
+                (Mixing.mixing_time_from_decomposition ~eps ~max_steps ~decomposition pi
+                   ~starts
+                = expected);
+              check_true (label ^ ", starts reversed")
+                (Mixing.mixing_time_from_decomposition ~eps ~max_steps ~decomposition pi
+                   ~starts:(List.rev starts)
+                = expected))
+            (List.filter (fun b -> b >= 0) [ 0; 1; t - 1; t; t + 1 ]))
+        [ 0.01; 0.05; 0.1; 0.25; 0.45 ])
+    (lumped :: dense)
+
+(* Every start is validated before the first probe: a bad start is
+   rejected even when the start before it already fails d(0) <= eps,
+   where an early exit would never reach it — at a zero budget the
+   search ends on that first failed probe. *)
+let mixing_spectral_validates_starts () =
+  let chain, pi = catalog_chain "ring" ~n:4 ~beta:1. in
+  let decomposition = Mixing.decompose chain pi in
+  let n = Array.length pi in
+  check_true "start 0 alone fails the first probe"
+    (reference_tv_at_spectral ~decomposition pi ~start:0 ~steps:0 > 0.25);
+  List.iter
+    (fun starts ->
+      List.iter
+        (fun max_steps ->
+          check_raises_invalid
+            (Printf.sprintf "starts [%s], max_steps %d"
+               (String.concat "; " (List.map string_of_int starts))
+               max_steps)
+            (fun () ->
+              Mixing.mixing_time_from_decomposition ~max_steps ~decomposition pi ~starts))
+        [ 0; 1_000 ])
+    [ [ 0; n ]; [ 0; -1 ]; [ 0; 1; n + 5 ]; [] ];
+  check_raises_invalid "decomposition of another size" (fun () ->
+      Mixing.mixing_time_from_decomposition
+        ~decomposition:(Mixing.decompose (two_state 0.3 0.2) (two_state_pi 0.3 0.2))
+        pi ~starts:[ 0 ])
+
+(* The t_mix the end-to-end benchmark's goldens hold for
+   `logitdyn mixing ring -n 7`, the CLI's spectral route. *)
+let mixing_spectral_ring7_goldens () =
+  List.iter
+    (fun (beta, expected) ->
+      let chain, pi = catalog_chain "ring" ~n:7 ~beta in
+      check_true
+        (Printf.sprintf "ring n=7 beta=%g: t_mix %d" beta expected)
+        (Mixing.mixing_time_spectral chain pi ~starts:(List.init (Chain.size chain) Fun.id)
+        = Some expected))
+    [ (0.5, 16); (1., 30); (1.5, 63); (2., 148) ]
+
 let mixing_squaring_size_guard () =
   check_raises_invalid "size guard" (fun () ->
       let rows = Array.make 800 [| (0, 1.) |] in
@@ -1104,6 +1260,10 @@ let suites =
         test "squaring at extreme beta" mixing_squaring_extreme_beta;
         test "squaring size guard" mixing_squaring_size_guard;
         test "routes agree on every step budget" mixing_routes_agree_on_budgets;
+        test "spectral search = per-start reference"
+          mixing_spectral_search_matches_reference;
+        test "spectral search validates every start" mixing_spectral_validates_starts;
+        test "spectral t_mix on ring n=7 = e2e goldens" mixing_spectral_ring7_goldens;
         qcheck mixing_monotone;
         qcheck mixing_spectral_matches_evolution;
         qcheck mixing_squaring_matches_evolution;

@@ -41,7 +41,7 @@ let tridiag_matches_jacobi =
             else if abs (i - j) = 1 then off.(Int.min i j)
             else 0.)
       in
-      let jacobi = Linalg.Eigen.eigenvalues dense in
+      let jacobi = Jacobi.eigenvalues dense in
       let tri = Linalg.Tridiag.eigenvalues ~diag ~off in
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) jacobi tri)
 
