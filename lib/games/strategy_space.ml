@@ -52,6 +52,36 @@ let replace s idx i a =
   let current = player_strategy s idx i in
   idx + ((a - current) * s.strides.(i))
 
+(* Both maps go through decode/encode, so they follow the encoding
+   wherever it goes; they are built once per chain, not per step. *)
+let map_profiles s f = Array.init s.size (fun idx -> encode s (f (decode s idx)))
+
+let permute_players s rho =
+  let n = Array.length s.counts in
+  let seen = Array.make n false in
+  let permutes =
+    Array.length rho = n
+    && Array.for_all
+         (fun j ->
+           j >= 0 && j < n && (not seen.(j))
+           &&
+           (seen.(j) <- true;
+            true))
+         rho
+  in
+  if permutes && Array.for_all2 (fun c j -> c = s.counts.(j)) s.counts rho then
+    Some
+      (map_profiles s (fun x ->
+           let y = Array.make n 0 in
+           Array.iteri (fun i a -> y.(rho.(i)) <- a) x;
+           y))
+  else None
+
+let swap_strategies s =
+  if Array.for_all (( = ) 2) s.counts then
+    Some (map_profiles s (Array.map (fun a -> 1 - a)))
+  else None
+
 let iter s f =
   for idx = 0 to s.size - 1 do
     f idx

@@ -48,6 +48,18 @@ val player_strategy : t -> int -> int -> int
     [(a, x₋ᵢ)] operation of the paper, in index space. *)
 val replace : t -> int -> int -> int -> int
 
+(** [permute_players s rho] is the permutation of profile indices that
+    hands player [i]'s strategy to player [rho.(i)]: the profile [x]
+    maps to the profile [y] with [y.(rho.(i)) = x.(i)]. [None] when
+    [rho] is not a permutation of the players or sends a player to one
+    with a different number of strategies. *)
+val permute_players : t -> int array -> int array option
+
+(** [swap_strategies s] is the permutation of profile indices that
+    relabels strategy 0 as 1 and 1 as 0 for every player; [None]
+    unless every player has exactly two strategies. *)
+val swap_strategies : t -> int array option
+
 (** [iter s f] applies [f] to every profile index in increasing
     order. *)
 val iter : t -> (int -> unit) -> unit

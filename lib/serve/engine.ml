@@ -19,6 +19,7 @@ type entry = {
   pi : float array;
   reversible : bool;
   mutable decomposition : (float array * Linalg.Mat.t) option;
+  mutable starts : int list option;
 }
 
 type t = {
@@ -122,7 +123,17 @@ let build_entry t ~game:game_id ~n ~beta =
             let chain = build_chain ?pool:t.pool ~store:t.store spec game ~n ~beta in
             let pi = stationary_of ?store:t.store spec game potential ~n ~beta in
             let reversible = Markov.Chain.is_reversible ~tol:1e-7 chain pi in
-            Ok { spec; game; potential; chain; pi; reversible; decomposition = None }
+            Ok
+              {
+                spec;
+                game;
+                potential;
+                chain;
+                pi;
+                reversible;
+                decomposition = None;
+                starts = None;
+              }
           end)
 
 let entry t ~game ~n ~beta =
@@ -149,6 +160,47 @@ let decomposition e =
       d
 
 let all_starts e = List.init (Games.Game.size e.game) Fun.id
+
+(* The candidate symmetries of an entry's chain as profile-index
+   permutations: the catalog's player permutations, plus the global
+   0 <-> 1 relabelling when every player has two strategies. *)
+let candidates e =
+  let space = Games.Game.space e.game in
+  let n = Games.Strategy_space.num_players space in
+  List.filter_map
+    (Games.Strategy_space.permute_players space)
+    (e.spec.Catalog.symmetries ~n)
+  @ Option.to_list (Games.Strategy_space.swap_strategies space)
+
+let starts e =
+  match e.starts with
+  | Some s -> s
+  | None ->
+      let s = Markov.Symmetry.starts e.chain e.pi (candidates e) in
+      e.starts <- Some s;
+      s
+
+(* The decomposition resolves its eigenvectors near λ = 1 only to
+   about 1e-16 / (1 − λ★), so where the gap 1 − λ★ is tiny two starts
+   of one orbit get visibly different spectral TVs, and which of them
+   is evaluated moves t_mix. Over the catalog at n ≤ 7,
+   β ∈ {0.25, 0.5, 1, 1.5, 2, 3, 4} and ε ∈ {0.1, 0.25} (560 points),
+   the orbit starts moved the spectral t_mix at 4 points, all at gaps
+   of 3.6e-8 or below (clique n = 5, β = 4, gap 9e-11: 17 781 330 668
+   against 17 781 625 865 over every state), and at none of the 546
+   points with a gap of 1e-7 or more. The drift in steps grows as the
+   inverse square of the gap; this bound sits two orders of magnitude
+   above 1e-7, and below it the spectral route keeps every start. *)
+let min_orbit_gap = 1e-5
+
+let spectral_tmix e ~eps =
+  let ((values, _) as decomposition) = decomposition e in
+  let k = Array.length values in
+  let lambda_star =
+    if k < 2 then 0. else Float.max values.(1) (Float.abs values.(k - 1))
+  in
+  let starts = if 1. -. lambda_star >= min_orbit_gap then starts e else all_starts e in
+  Markov.Mixing.mixing_time_from_decomposition ~eps ~decomposition e.pi ~starts
 
 let barrier_of e =
   match e.potential with
@@ -186,12 +238,10 @@ let mixing_reply_of t e ~tmix ~replicas ~seed =
 
 let eval_mixing t e ~eps ~replicas ~seed =
   let tmix =
-    if spectral_route t e then
-      Markov.Mixing.mixing_time_from_decomposition ~eps
-        ~decomposition:(decomposition e) e.pi ~starts:(all_starts e)
+    if spectral_route t e then spectral_tmix e ~eps
     else
       Markov.Mixing.mixing_time ?pool:t.pool ~eps ~max_steps:t.max_steps e.chain
-        e.pi ~starts:(all_starts e)
+        e.pi ~starts:(starts e)
   in
   mixing_reply_of t e ~tmix ~replicas ~seed
 
@@ -219,7 +269,7 @@ let eval_hitting t e =
         let worst = Array.fold_left Float.max 0. times in
         let hit_tmix =
           Markov.Mixing.mixing_time ?pool:t.pool
-            ~max_steps:hitting_tmix_budget e.chain e.pi ~starts:(all_starts e)
+            ~max_steps:hitting_tmix_budget e.chain e.pi ~starts:(starts e)
         in
         Ok
           (P.Hitting_r

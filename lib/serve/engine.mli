@@ -12,8 +12,10 @@
 type t
 
 (** A built chain with everything derived from it once per (game, n,
-    beta): the stationary distribution, reversibility, and a lazily
-    cached eigendecomposition for the spectral route. *)
+    beta): the stationary distribution, reversibility, and two lazily
+    cached artifacts of the first mixing or hitting query: the
+    eigendecomposition for the spectral route and the start set of
+    exact d(t) ({!starts}). *)
 type entry = {
   spec : Catalog.spec;
   game : Games.Game.t;
@@ -22,6 +24,7 @@ type entry = {
   pi : float array;
   reversible : bool;
   mutable decomposition : (float array * Linalg.Mat.t) option;
+  mutable starts : int list option;
 }
 
 val default_spectral_cutoff : int
@@ -56,8 +59,30 @@ val spectral_route : t -> entry -> bool
 (** The (lazily computed, cached) eigendecomposition of an entry. *)
 val decomposition : entry -> float array * Linalg.Mat.t
 
-(** Every state of the entry's chain, the start set of exact d(t). *)
+(** Every state of the entry's chain, in ascending order. *)
 val all_starts : entry -> int list
+
+(** [starts e] is the start set of exact d(t) (lazily computed on the
+    first mixing or hitting query, then cached on [e]): one state per
+    orbit of the symmetries of [e]'s chain, the smallest of each, in
+    ascending order. The candidates are the catalog's player
+    permutations ({!Catalog.spec}) and, when every player has two
+    strategies, the global 0 ↔ 1 relabelling; only those
+    {!Markov.Symmetry.verify} accepts are used. With none accepted it
+    is {!all_starts}. The panel route, hitting's [hit_tmix] and
+    {!spectral_tmix} evolve these starts; the maximum of d_x(t) over
+    them equals the all-states maximum up to the rounding of the
+    chain's construction. *)
+val starts : entry -> int list
+
+(** [spectral_tmix e ~eps] is the spectral route's answer: the t_mix
+    search of {!Markov.Mixing.mixing_time_from_decomposition} over the
+    entry's cached {!decomposition}, from {!starts} when the spectral
+    gap 1 − λ★ is at least 1e-5 and from {!all_starts} below it, where
+    the decomposition no longer resolves the orbits (two starts of one
+    orbit get t_mix values apart by up to 3·10⁵ steps at a gap of
+    9·10⁻¹¹). *)
+val spectral_tmix : entry -> eps:float -> int option
 
 (** Potential-barrier quantities, when the game has a potential. *)
 val barrier_of : entry -> Protocol.barrier option

@@ -9,7 +9,10 @@
    index structure; either way each request retires at its own eps, so
    one matrix (or structure) traversal per step serves the whole
    group. Spectral-route requests share their entry's cached
-   eigendecomposition per β. Answers are bit-identical to serial
+   eigendecomposition per β. Every route evolves the entry's cached
+   orbit start set (Engine.starts), as the serial engine does; a
+   family group uses it when all its planes share one, and every state
+   otherwise. Answers are bit-identical to serial
    evaluation because both run the same primitives over the same
    floats — the coalescing only changes who pays for the matrix
    traffic.
@@ -59,7 +62,7 @@ let run_panel_group engine stats out e group =
   let steps_taken = ref 0 in
   let sweep () =
     Markov.Mixing.panel_sweep ?pool:(Engine.pool engine) e.Engine.chain
-      e.Engine.pi ~starts:(Engine.all_starts e)
+      e.Engine.pi ~starts:(Engine.starts e)
       ~decide:(fun ~step ~worst ->
         steps_taken := step;
         let now = Common.Clock.monotonic_ns () in
@@ -113,11 +116,7 @@ let run_spectral_group engine out e group =
         (if expired job then Error P.Deadline_exceeded
          else
            guard (fun () ->
-               let tmix =
-                 Markov.Mixing.mixing_time_from_decomposition ~eps
-                   ~decomposition:(Engine.decomposition e) e.Engine.pi
-                   ~starts:(Engine.all_starts e)
-               in
+               let tmix = Engine.spectral_tmix e ~eps in
                Ok (Engine.mixing_reply_of engine e ~tmix ~replicas ~seed))))
     group
 
@@ -147,9 +146,16 @@ let run_family_group engine stats out groups =
         ~planes:(Array.map (fun (_, e, _) -> e.Engine.chain) groups)
     in
     let pis = Array.map (fun (_, e, _) -> e.Engine.pi) groups in
-    let _, e0, _ = groups.(0) in
+    (* One start list serves every plane: the planes' shared start set
+       when they all have the same one, every state otherwise. *)
+    let starts =
+      let _, e0, _ = groups.(0) in
+      let s0 = Engine.starts e0 in
+      if Array.for_all (fun (_, e, _) -> Engine.starts e = s0) groups then s0
+      else Engine.all_starts e0
+    in
     Markov.Mixing.family_panel_sweep ?pool:(Engine.pool engine) family ~pis
-      ~starts:(Engine.all_starts e0)
+      ~starts
       ~decide:(fun ~plane ~step ~worst ->
         if step > !max_step then max_step := step;
         let now = Common.Clock.monotonic_ns () in

@@ -1216,6 +1216,147 @@ let family_codec_corrupt_rejected () =
   check_true "truncated plane rejected"
     (Result.is_error (Family_codec.decode_plane (truncate p)))
 
+(* --- symmetry-reduced start sets --------------------------------------- *)
+
+let lifted space rho =
+  match Games.Strategy_space.permute_players space rho with
+  | Some sigma -> sigma
+  | None -> Alcotest.fail "player permutation did not lift to the profiles"
+
+let swap_of space =
+  match Games.Strategy_space.swap_strategies space with
+  | Some sigma -> sigma
+  | None -> Alcotest.fail "no 0 <-> 1 relabelling on a binary space"
+
+(* A catalog game's chain and law with its lifted player permutations
+   and strategy swap, built the way the engine builds them. *)
+let catalog_candidates game ~n ~beta =
+  let spec = Option.get (Serve.Catalog.find game) in
+  let space = Games.Game.space (fst (spec.Serve.Catalog.build ~n ~beta)) in
+  let chain, pi = catalog_chain game ~n ~beta in
+  (chain, pi, List.map (lifted space) (spec.Serve.Catalog.symmetries ~n), swap_of space)
+
+let symmetry_ring_accepted () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun beta ->
+          let chain, pi, perms, swap = catalog_candidates "ring" ~n ~beta in
+          check_int "rotation and reflection" 2 (List.length perms);
+          List.iteri
+            (fun i sigma ->
+              check_true
+                (Printf.sprintf "ring n=%d beta=%g: %s accepted" n beta
+                   (match i with 0 -> "rotation" | 1 -> "reflection" | _ -> "swap"))
+                (Symmetry.verify chain pi sigma))
+            (perms @ [ swap ]))
+        [ 0.25; 2.; 16. ])
+    [ 4; 5; 6; 7; 8 ]
+
+(* A doubly stochastic 4-cycle with holding: π is uniform and every
+   row has two entries of 1/2, so only the sparsity structure can tell
+   a rotation from the transposition (0 1). *)
+let holding_cycle () =
+  Chain.of_csr ~row_start:[| 0; 2; 4; 6; 8 |]
+    ~cols:[| 0; 1; 1; 2; 2; 3; 0; 3 |]
+    ~probs:(Array.make 8 0.5)
+
+let symmetry_rejections () =
+  let chain, pi, perms, swap = catalog_candidates "curve" ~n:6 ~beta:1. in
+  check_true "curve: player permutations accepted"
+    (List.for_all (Symmetry.verify chain pi) perms);
+  check_false "curve: strategy swap rejected" (Symmetry.verify chain pi swap);
+  (* One CSR entry of ring n=5 moved by 1e-10 relative: the rotation
+     that carries row 1 onto row 2 no longer matches. *)
+  let chain, pi, perms, _ = catalog_candidates "ring" ~n:5 ~beta:1. in
+  let rotation = List.hd perms in
+  check_true "ring: rotation accepted" (Symmetry.verify chain pi rotation);
+  let row_start, cols, probs = Chain.to_csr chain in
+  let k = row_start.(1) in
+  probs.(k) <- probs.(k) *. (1. +. 1e-10);
+  let bumped = Chain.of_csr ~row_start ~cols ~probs in
+  check_false "1e-10 relative change rejected" (Symmetry.verify bumped pi rotation);
+  let size = Chain.size chain in
+  check_false "constant map rejected" (Symmetry.verify chain pi (Array.make size 0));
+  check_false "repeated image rejected"
+    (Symmetry.verify chain pi (Array.init size (fun x -> if x = 0 then 1 else x)));
+  check_false "short map rejected" (Symmetry.verify chain pi (Array.init (size - 1) Fun.id));
+  let cycle = holding_cycle () and uniform = Array.make 4 0.25 in
+  check_true "cycle: rotation accepted"
+    (Symmetry.verify cycle uniform [| 1; 2; 3; 0 |]);
+  check_false "cycle: structure-breaking transposition rejected"
+    (Symmetry.verify cycle uniform [| 1; 0; 2; 3 |]);
+  check_raises_invalid "pi of the wrong length" (fun () ->
+      Symmetry.verify cycle [| 1. |] [| 0; 1; 2; 3 |])
+
+let symmetry_orbits () =
+  let reps gens = Symmetry.orbit_representatives ~size:6 gens in
+  Alcotest.(check (list int)) "no generators" [ 0; 1; 2; 3; 4; 5 ] (reps []);
+  Alcotest.(check (list int)) "(0 2 4)(1 5)" [ 0; 1; 3 ] (reps [ [| 2; 5; 4; 3; 0; 1 |] ]);
+  Alcotest.(check (list int)) "two generators" [ 0; 3 ]
+    (reps [ [| 2; 5; 4; 3; 0; 1 |]; [| 1; 0; 2; 3; 4; 5 |] ]);
+  check_raises_invalid "non-bijective generator" (fun () -> reps [ Array.make 6 0 ]);
+  let engine = Serve.Engine.create () in
+  List.iter
+    (fun (game, n, expected) ->
+      match Serve.Engine.entry engine ~game ~n ~beta:1. with
+      | Error msg -> Alcotest.fail msg
+      | Ok e ->
+          let starts = Serve.Engine.starts e in
+          check_int (Printf.sprintf "%s n=%d orbit count" game n) expected
+            (List.length starts);
+          check_true (Printf.sprintf "%s n=%d: ascending from 0" game n)
+            (List.hd starts = 0 && List.sort_uniq compare starts = starts))
+    [ ("ring", 12, 122); ("clique", 12, 7); ("curve", 12, 13); ("path", 12, 1056);
+      ("ring", 7, 9) ]
+
+(* Graphical coordination on a random circulant graph (edges
+   {i, i + c mod n} for a random offset set): rotation-invariant by
+   construction, and swap-invariant exactly when delta0 = delta1. The
+   orbit starts must give the all-starts t_mix. *)
+let symmetry_circulant_property =
+  QCheck.Test.make
+    ~name:"circulant coordination: rotation kept, swap iff delta0 = delta1, orbit t_mix = full"
+    ~count:30 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Prob.Rng.create seed in
+      let n = 4 + Prob.Rng.int r 4 in
+      let offsets = List.init (n / 2) (fun c -> c + 1) in
+      let offsets =
+        match List.filter (fun _ -> Prob.Rng.bool r) offsets with
+        | [] -> [ 1 + Prob.Rng.int r (n / 2) ]
+        | some -> some
+      in
+      let graph =
+        Graphs.Graph.of_edges n
+          (List.concat_map (fun c -> List.init n (fun i -> (i, (i + c) mod n))) offsets)
+      in
+      let deltas = [| 0.5; 1.; 1.5; 2. |] in
+      let i0 = Prob.Rng.int r 4 in
+      let symmetric = Prob.Rng.bool r in
+      let i1 = if symmetric then i0 else (i0 + 1 + Prob.Rng.int r 3) mod 4 in
+      let beta = [| 0.25; 0.5; 1. |].(Prob.Rng.int r 3) in
+      let desc =
+        Games.Graphical.create graph
+          (Games.Coordination.of_deltas ~delta0:deltas.(i0) ~delta1:deltas.(i1))
+      in
+      let game = Games.Graphical.to_game desc in
+      let space = Games.Game.space game in
+      let chain = Logit.Logit_dynamics.chain game ~beta in
+      let pi = Logit.Gibbs.stationary space (Games.Graphical.potential desc) ~beta in
+      let rotation = lifted space (Array.init n (fun i -> (i + 1) mod n)) in
+      let swap = swap_of space in
+      let decomposition = Mixing.decompose chain pi in
+      let tmix starts =
+        List.map
+          (fun eps -> Mixing.mixing_time_from_decomposition ~eps ~decomposition pi ~starts)
+          [ 0.1; 0.25 ]
+      in
+      Symmetry.verify chain pi rotation
+      && Symmetry.verify chain pi swap = symmetric
+      && tmix (Symmetry.starts chain pi [ rotation; swap ])
+         = tmix (List.init (Chain.size chain) Fun.id))
+
 let suites =
   [
     ( "markov.chain",
@@ -1267,6 +1408,13 @@ let suites =
         qcheck mixing_monotone;
         qcheck mixing_spectral_matches_evolution;
         qcheck mixing_squaring_matches_evolution;
+      ] );
+    ( "markov.symmetry",
+      [
+        test "ring rotation, reflection and swap accepted" symmetry_ring_accepted;
+        test "rejections" symmetry_rejections;
+        test "orbit representatives and counts" symmetry_orbits;
+        qcheck symmetry_circulant_property;
       ] );
     ( "markov.family",
       [

@@ -308,6 +308,142 @@ let spectral_group_identity () =
   check "no panel steps spent" true (stats.Serve.Scheduler.panel_steps = 0);
   check "bit-identical to serial" true (outcomes = reference)
 
+(* --- Symmetry-reduced start sets ------------------------------------------ *)
+
+let reduction_epsilons = [ 0.1; 0.25 ]
+
+(* Step budget of the panel-route engine below: large enough that most
+   grid points settle, small enough to keep the all-starts reference
+   cheap. *)
+let reduction_budget = 2000
+
+(* d(0), d(1), … of the all-starts panel, up to [steps] or the first
+   d(t) <= min eps. *)
+let full_panel_curve e ~steps =
+  let curve = ref [] in
+  Markov.Mixing.panel_sweep e.Serve.Engine.chain e.Serve.Engine.pi
+    ~starts:(Serve.Engine.all_starts e) ~decide:(fun ~step ~worst ->
+      curve := worst :: !curve;
+      if step >= steps || worst <= List.fold_left Float.min 1. reduction_epsilons then
+        Some ()
+      else None);
+  Array.of_list (List.rev !curve)
+
+(* The least t with d(t) <= eps on a curve, if the curve reaches it. *)
+let tmix_of_curve curve eps =
+  let rec go t =
+    if t >= Array.length curve then None else if curve.(t) <= eps then Some t else go (t + 1)
+  in
+  go 0
+
+let mixing_tmix engine q =
+  match Serve.Engine.eval engine q with
+  | Ok (P.Mixing_r m) -> m.P.tmix
+  | _ -> Alcotest.fail "mixing query failed"
+
+(* Every catalog game at every n <= 7 its builder accepts: the
+   engine's answers, which evolve one start per verified orbit, equal
+   Markov.Mixing over every state, on the default route and on the
+   panel route (a budget of [reduction_budget] steps). The all-starts
+   panel is swept as far as the engine's answers reach: its d(t) is a
+   maximum over a superset of the same bit-identical rows, so it is
+   never below the reduced one, and where the reduced panel does not
+   settle within the budget the full one cannot either. hit_tmix is
+   checked wherever that sweep settles at eps = 0.25 (elsewhere its
+   2 000 000-step budget makes the reference too slow for a unit
+   test). *)
+let reduced_equals_full () =
+  let default = Serve.Engine.create () in
+  let panel = Serve.Engine.create ~spectral_cutoff:0 ~max_steps:reduction_budget () in
+  let compared = ref 0 and hitting = ref 0 in
+  List.iter
+    (fun spec ->
+      let game = spec.Serve.Catalog.id in
+      for n = 0 to 7 do
+        List.iter
+          (fun beta ->
+            match Serve.Engine.entry default ~game ~n ~beta with
+            | Error _ -> ()
+            | Ok e ->
+                let name eps what =
+                  Printf.sprintf "%s n=%d beta=%g eps=%g %s" game n beta eps what
+                in
+                let query eps = P.Mixing { game; n; beta; eps; replicas = 0; seed = 0 } in
+                let pi = e.Serve.Engine.pi and all = Serve.Engine.all_starts e in
+                List.iter
+                  (fun eps ->
+                    let full =
+                      if Serve.Engine.spectral_route default e then
+                        Markov.Mixing.mixing_time_from_decomposition ~eps
+                          ~decomposition:(Serve.Engine.decomposition e) pi ~starts:all
+                      else
+                        Markov.Mixing.mixing_time ~eps
+                          ~max_steps:Serve.Engine.default_max_steps e.Serve.Engine.chain
+                          pi ~starts:all
+                    in
+                    Alcotest.(check (option int))
+                      (name eps "default route") full (mixing_tmix default (query eps)))
+                  reduction_epsilons;
+                let reduced =
+                  List.map (fun eps -> mixing_tmix panel (query eps)) reduction_epsilons
+                in
+                let steps =
+                  List.fold_left (fun m t -> Int.max m (Option.value t ~default:0)) 0 reduced
+                in
+                let curve = full_panel_curve e ~steps in
+                List.iter2
+                  (fun eps reduced ->
+                    Alcotest.(check (option int))
+                      (name eps "panel route") (tmix_of_curve curve eps) reduced;
+                    incr compared)
+                  reduction_epsilons reduced;
+                match (e.Serve.Engine.potential, tmix_of_curve curve 0.25) with
+                | Some _, Some full -> (
+                    match Serve.Engine.eval default (P.Hitting { game; n; beta }) with
+                    | Ok (P.Hitting_r h) ->
+                        Alcotest.(check (option int))
+                          (name 0.25 "hit_tmix") (Some full) h.P.hit_tmix;
+                        incr hitting
+                    | _ -> Alcotest.fail (name 0.25 "hitting query failed"))
+                | _ -> ())
+          [ 0.25; 1.; 4. ]
+      done)
+    Serve.Catalog.all;
+  (* 48 accepted (game, n) pairs (pd and matching-pennies ignore n and
+     take every n), 3 beta, 2 eps. *)
+  check "every grid point compared" true (!compared = 48 * 3 * 2);
+  check "hit_tmix compared on most points" true (!hitting > 100)
+
+(* Four β of one (game, n) in one batch: a family group, whose shared
+   start set must give each β its serial answer and the all-starts
+   panel answer. *)
+let family_group_reduced () =
+  let betas = [ 0.25; 0.5; 1.; 1.5 ] in
+  let queries =
+    List.map
+      (fun beta -> P.Mixing { game = "ring"; n = 6; beta; eps = 0.25; replicas = 0; seed = 1 })
+      betas
+  in
+  let reference = serial_outcomes queries in
+  let engine = Serve.Engine.create ~spectral_cutoff:0 () in
+  let stats = Serve.Scheduler.stats_zero () in
+  let outcomes = Serve.Scheduler.run_batch engine stats (jobs_of queries) |> List.map snd in
+  check "one fused sweep" true
+    (stats.Serve.Scheduler.batches = 1 && stats.Serve.Scheduler.panel_steps > 0);
+  check "family group = serial" true (outcomes = reference);
+  List.iter2
+    (fun beta outcome ->
+      let e = Result.get_ok (Serve.Engine.entry engine ~game:"ring" ~n:6 ~beta) in
+      check (Printf.sprintf "beta=%g: 8 orbit starts" beta) true
+        (List.length (Serve.Engine.starts e) = 8);
+      let full =
+        Markov.Mixing.mixing_time ~max_steps:Serve.Engine.default_max_steps
+          e.Serve.Engine.chain e.Serve.Engine.pi ~starts:(Serve.Engine.all_starts e)
+      in
+      check (Printf.sprintf "beta=%g: family = all-starts panel" beta) true
+        (match outcome with Ok (P.Mixing_r m) -> m.P.tmix = full | _ -> false))
+    betas outcomes
+
 (* --- Server (socket level) ----------------------------------------------- *)
 
 let socket_counter = ref 0
@@ -472,6 +608,13 @@ let suites =
         Alcotest.test_case "expired deadline is typed" `Quick
           dead_on_arrival_deadline;
         Alcotest.test_case "spectral group = serial" `Quick spectral_group_identity;
+        Alcotest.test_case "family group on orbit starts = serial" `Quick
+          family_group_reduced;
+      ] );
+    ( "serve.engine",
+      [
+        Alcotest.test_case "orbit-start answers = all-starts answers" `Quick
+          reduced_equals_full;
       ] );
     ( "serve.server",
       [
