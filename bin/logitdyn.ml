@@ -139,6 +139,7 @@ let segment_key ~game ~n ~beta =
    is start 0's, under its own label: it is not the worst-start t_mix
    of the in-RAM path and can be far smaller. *)
 let mixing_ooc game_id n beta eps jobs segment_file stores no_cache_flags =
+  Result.iter_error print_query_error (Serve.Engine.check_eps eps);
   let spec = find_game game_id in
   let game, _potential = spec.Serve.Catalog.build ~n ~beta in
   let size = Games.Game.size game in

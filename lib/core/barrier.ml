@@ -4,11 +4,14 @@ open Games
 module Uf = struct
   type t = { parent : int array; rank : int array; min_phi : float array }
 
-  let create n phi =
+  (* One element per entry of [value], each its own component with
+     minimum [value.(i)]; [value] itself is not mutated. *)
+  let create value =
+    let n = Array.length value in
     {
       parent = Array.init n Fun.id;
       rank = Array.make n 0;
-      min_phi = Array.init n phi;
+      min_phi = Array.copy value;
     }
 
   let rec find t i =
@@ -47,7 +50,7 @@ let zeta space phi =
     order;
   let rank_of = Array.make size 0 in
   Array.iteri (fun r v -> rank_of.(v) <- r) order;
-  let uf = Uf.create size phi in
+  let uf = Uf.create value in
   let best = ref 0. in
   Array.iteri
     (fun r v ->
@@ -122,7 +125,7 @@ let zeta_of_weight_potential ~players phi_of_weight =
     order;
   let rank_of = Array.make (n + 1) 0 in
   Array.iteri (fun r v -> rank_of.(v) <- r) order;
-  let uf = Uf.create (n + 1) phi_of_weight in
+  let uf = Uf.create value in
   let best = ref 0. in
   Array.iteri
     (fun r k ->

@@ -308,20 +308,30 @@ type panel = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
    budget. *)
 let panel_block_bytes = 262_144
 
+(* Panel rows the gather sweeps together per column. *)
+let tile = 4
+
 (* The evolve kernel — the only one. For destinations [j_lo, j_hi) and
    panel rows [r_lo, r_hi] of every plane p it writes
    dst_p(r, j) = Σᵢ src_p(r, i)·P_p(i, j), with the sources of column j
-   visited in ascending i (the CSC order) and sources whose mass is not
-   > 0. skipped. That is exactly the addition sequence of the
-   historical push scatter (which started from a 0. fill, and
-   0. +. x = x), so every cell is bit-identical to a row-by-row scatter
-   however the cells are grouped into calls. Column j's slice of the
-   shared [t_col_start]/[t_cols] arrays is resolved once and then
-   drives the gather for every plane. The panel annotations keep every
-   Bigarray access on the unboxed path. *)
+   visited in ascending i (the CSC order) and none skipped. The
+   historical push scatter started from a 0. fill and skipped sources
+   whose mass is not > 0.; on a panel with no negative or NaN entry a
+   skipped source is a zero, whose +0. summand leaves every
+   accumulator's bits as they are, so every cell is bit-identical to a
+   row-by-row scatter however the cells are grouped into calls. Rows
+   go four at a time: each loaded source index and probability feeds
+   four register accumulators, one per row, each still summing its own
+   cell in ascending order; the [(r_hi - r_lo + 1) mod 4] leftover rows
+   take the one-row loop. Column j's slice of the shared
+   [t_col_start]/[t_cols] arrays is resolved once and then drives the
+   gather for every plane. The panel annotations keep every Bigarray
+   access on the unboxed path. *)
 let gather_range (c : csc) plane_probs ~(src : panel array) ~(dst : panel array)
     ~n ~r_lo ~r_hi ~j_lo ~j_hi =
   let col_start = c.t_col_start and rows = c.t_cols in
+  let tiles = (r_hi - r_lo + 1) / tile in
+  let r_rest = r_lo + (tiles * tile) in
   for j = j_lo to j_hi - 1 do
     let klo = Array.unsafe_get col_start j in
     let kstop = Array.unsafe_get col_start (j + 1) - 1 in
@@ -329,14 +339,34 @@ let gather_range (c : csc) plane_probs ~(src : panel array) ~(dst : panel array)
       let probs = Array.unsafe_get plane_probs p in
       let src : panel = Array.unsafe_get src p in
       let dst : panel = Array.unsafe_get dst p in
-      for r = r_lo to r_hi do
+      for t = 0 to tiles - 1 do
+        let b0 = (r_lo + (t * tile)) * n in
+        let b1 = b0 + n in
+        let b2 = b1 + n in
+        let b3 = b2 + n in
+        let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+        for kk = klo to kstop do
+          let i = Array.unsafe_get rows kk in
+          let q = Array.unsafe_get probs kk in
+          a0 := !a0 +. (Bigarray.Array1.unsafe_get src (b0 + i) *. q);
+          a1 := !a1 +. (Bigarray.Array1.unsafe_get src (b1 + i) *. q);
+          a2 := !a2 +. (Bigarray.Array1.unsafe_get src (b2 + i) *. q);
+          a3 := !a3 +. (Bigarray.Array1.unsafe_get src (b3 + i) *. q)
+        done;
+        (* lint: allow domain-capture — gather: cells (p, r..r+3, j) have exactly one writer, the range owning (block, j) *)
+        Bigarray.Array1.unsafe_set dst (b0 + j) !a0;
+        Bigarray.Array1.unsafe_set dst (b1 + j) !a1;
+        Bigarray.Array1.unsafe_set dst (b2 + j) !a2;
+        Bigarray.Array1.unsafe_set dst (b3 + j) !a3
+      done;
+      for r = r_rest to r_hi do
         let base = r * n in
         let acc = ref 0. in
         for kk = klo to kstop do
           let mass =
             Bigarray.Array1.unsafe_get src (base + Array.unsafe_get rows kk)
           in
-          if mass > 0. then acc := !acc +. (mass *. Array.unsafe_get probs kk)
+          acc := !acc +. (mass *. Array.unsafe_get probs kk)
         done;
         (* lint: allow domain-capture — gather: cell (p, r, j) has exactly one writer, the range owning (block, j) *)
         Bigarray.Array1.unsafe_set dst (base + j) !acc
@@ -351,15 +381,20 @@ let gather_range (c : csc) plane_probs ~(src : panel array) ~(dst : panel array)
    it is a direct loop. Pooled, each work item is one block's slice of
    consecutive destinations, claimed through a single dispatch; items
    own disjoint cells, so the result is the same for any pool size and
-   any block size. Cutover cost of one (block, destination) pair is
-   [np] planes × [block] rows of [evolve_cost] multiply-adds, so
-   single-distribution evolves and β-grids on below-cutover chains
-   never dispatch. *)
+   any block size. The block is the L2 budget in whole tiles, floored
+   at one tile: past 8 192 states (per plane) the budget holds fewer
+   than four rows, and a 4-row block still shares each column's loads
+   four ways. The outer [max 1] keeps [k = 0] a no-op: an empty panel
+   has zero blocks and never divides by a zero block. Cutover cost of
+   one (block, destination) pair is [np] planes × [block] rows of
+   [evolve_cost] multiply-adds, so single-distribution evolves and
+   β-grids on below-cutover chains never dispatch. *)
 let gather ?pool t plane_probs ~k ~src ~dst =
   let n = t.size in
   let np = Array.length plane_probs in
   let c = csc t in
-  let block = Int.max 1 (Int.min k (panel_block_bytes / (16 * n * np))) in
+  let fit = panel_block_bytes / (16 * n * np) / tile * tile in
+  let block = Int.max 1 (Int.min k (Int.max tile fit)) in
   let blocks = (k + block - 1) / block in
   let r_hi b = Int.min k ((b + 1) * block) - 1 in
   match pool with

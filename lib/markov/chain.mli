@@ -22,9 +22,13 @@
     panel ({!evolve}), and a β-grid is a multi-plane call
     ({!evolve_many_shared_into}). Each destination cell has exactly
     one writer, so the work can be chunked across {!Exec.Pool} domains,
-    and each cell sums its sources in ascending order with zero-mass
-    sources skipped — bit-identical to the historical row-by-row push
-    scatter, for any pool size, block size or plane count. *)
+    and each cell sums all of its sources in ascending order, none
+    skipped. The kernel is plainly linear, signed panels included. On
+    a panel with no negative or NaN entry it is bit-identical to the
+    historical row-by-row push scatter, which skipped sources of mass
+    not > 0: such a source there is a zero, and its [+0.] summand is
+    an exact no-op. That holds for any pool size, block size or plane
+    count. *)
 
 type t
 
@@ -122,19 +126,24 @@ type panel = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** [evolve_many_into ?pool t ~k ~src ~dst] advances all [k]
     distributions of the [src] panel one step into [dst] in a single
-    traversal of the transition matrix (blocked SpMM): the matrix
-    columns stream once per block of distributions — the block sized so
-    its panel slices fit in L2 — so matrix traffic is amortised over
-    the block instead of being re-read per distribution. Per cell the
-    sources are summed in increasing order with zero-mass sources
-    skipped, and each [(r, j)] cell is written by exactly one work
-    item, so every panel row is bit-identical to a row-by-row push
-    scatter of that row, for any pool size and any block size. With
-    [?pool] the (row block × destination range) items run across the
-    pool's domains unless the estimated work is below
-    {!Exec.Pool.serial_cutover}. [src] and [dst] must be distinct
-    panels of dimension [k * size t] ([Invalid_argument] otherwise);
-    [k = 0] is a no-op. *)
+    traversal of the transition matrix (blocked SpMM). The matrix
+    columns stream once per block of distributions, so matrix traffic
+    is amortised over the block instead of being re-read per
+    distribution. The block is as many whole 4-row tiles as fit the
+    panel slices in L2, and at least one tile, so chains above 8 192
+    states still use it. Within a tile, each column's source indices
+    and probabilities are loaded once for four register accumulators,
+    one per row; leftover rows take a one-row loop. Per cell every
+    source is summed in increasing order, none skipped, and each
+    [(r, j)] cell is written by exactly one work item. So every panel
+    row is bit-identical to the 1-row evolve of that row, for any pool
+    size and any block size; on a row with no negative or NaN entry it
+    is also bit-identical to the row-by-row push scatter that skipped
+    zero-mass sources. With [?pool] the (row block × destination
+    range) items run across the pool's domains unless the estimated
+    work is below {!Exec.Pool.serial_cutover}. [src] and [dst] must be
+    distinct panels of dimension [k * size t] ([Invalid_argument]
+    otherwise); [k = 0] is a no-op. *)
 val evolve_many_into : ?pool:Exec.Pool.t -> t -> k:int -> src:panel -> dst:panel -> unit
 
 (** [evolve t mu] is the push-forward μP of the distribution vector

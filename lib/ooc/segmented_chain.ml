@@ -1,10 +1,10 @@
 (* Distribution evolution over an on-disk segment.
 
    The gather below replays [Markov.Chain]'s evolve kernel over block
-   views instead of in-RAM CSC arrays: per destination column the
-   sources arrive in ascending order with the same [mass > 0.] skip and
-   the same register accumulation, so every result is bit-identical to
-   the in-RAM kernel — serial, pooled, mmap or stream. Blocks own
+   views instead of in-RAM CSC arrays: per destination column every
+   source arrives in ascending order, none skipped, into one register
+   accumulator per cell, so every result is bit-identical to the in-RAM
+   kernel — serial, pooled, mmap or stream. Blocks own
    disjoint column ranges, hence one writer per destination and
    race-free pool dispatch, the same argument as the in-RAM CSC
    gather. *)
@@ -26,10 +26,11 @@ let nnz t = Segment.nnz t.seg
 let block_cost t = Int.max 1 (nnz t / Segment.num_blocks t.seg)
 
 (* One block of destinations, k panel rows — the segment's only
-   gather. Per (r, j) cell the sources arrive in ascending order with
-   the [mass > 0.] skip and the register accumulation of
-   [Chain.evolve_many_into], so each panel row matches the in-RAM
-   kernel bit for bit; a single distribution is the k = 1 panel.
+   gather. Per (r, j) cell the sources arrive in ascending order, none
+   skipped, and are summed left to right as in
+   [Chain.evolve_many_into]'s tile and one-row loops alike, so each
+   panel row matches the in-RAM kernel bit for bit; a single
+   distribution is the k = 1 panel.
    Annotations keep every Bigarray access on the monomorphic unboxed
    path. *)
 let evolve_view_many (v : Segment.view) ~k ~n ~(src : Markov.Chain.panel)
@@ -49,8 +50,7 @@ let evolve_view_many (v : Segment.view) ~k ~n ~(src : Markov.Chain.panel)
           Bigarray.Array1.unsafe_get src
             (base + Bigarray.Array1.unsafe_get rows (kk - k_shift))
         in
-        if mass > 0. then
-          acc := !acc +. (mass *. Bigarray.Array1.unsafe_get probs (kk - k_shift))
+        acc := !acc +. (mass *. Bigarray.Array1.unsafe_get probs (kk - k_shift))
       done;
       (* lint: allow domain-capture — blocks own disjoint column ranges: dst cell (r, j) has exactly one writer *)
       Bigarray.Array1.unsafe_set dst (base + j) !acc

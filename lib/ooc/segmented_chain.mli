@@ -3,10 +3,10 @@
     Presents the same [evolve_many_into] panel contract as
     {!Markov.Chain}, streaming the matrix block by block instead of
     holding it in RAM. The gather replays the in-RAM evolve kernel
-    exactly — ascending sources per destination, the same
-    [mass > 0.] skip, the same register accumulation — so results
-    are bit-identical to [Chain.evolve_many_into] on the same chain,
-    serial or pooled, mmap or stream. A single distribution is a
+    exactly — every source per destination, in ascending order, none
+    skipped, summed left to right — so results are bit-identical to
+    [Chain.evolve_many_into] on the same chain, serial or pooled, mmap
+    or stream, signed panels included. A single distribution is a
     1-row panel.
 
     Pooled runs shard the block table across domains. Blocks own

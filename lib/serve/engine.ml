@@ -202,11 +202,16 @@ let spectral_tmix e ~eps =
   let starts = if 1. -. lambda_star >= min_orbit_gap then starts e else all_starts e in
   Markov.Mixing.mixing_time_from_decomposition ~eps ~decomposition e.pi ~starts
 
+(* φ is tabulated once: [delta_local] reads it for every neighbour of
+   every profile and [zeta] for every profile, and one evaluation of a
+   graphical game's φ is a fold over its edges. *)
 let barrier_of e =
   match e.potential with
   | None -> None
   | Some phi ->
       let space = Games.Game.space e.game in
+      let values = Array.init (Games.Game.size e.game) phi in
+      let phi = Array.get values in
       Some
         {
           P.d_global = Games.Potential.delta_global space phi;
@@ -235,6 +240,13 @@ let mixing_reply_of t e ~tmix ~replicas ~seed =
       empirical = empirical_of t e ~tmix ~replicas ~seed;
       barrier = barrier_of e;
     }
+
+(* d(t) is never negative, so a threshold that is not > 0 (zero,
+   negative or NaN) is never met and the panel would sweep the whole
+   step budget. *)
+let check_eps eps =
+  if eps > 0. then Ok ()
+  else Error (P.Bad_request (Printf.sprintf "eps must be > 0 (got %g)" eps))
 
 let eval_mixing t e ~eps ~replicas ~seed =
   let tmix =
@@ -278,10 +290,11 @@ let eval_hitting t e =
 let eval t (q : P.query) : (P.reply, P.error) result =
   match q with
   | P.Stats -> Error (P.Server_error "Stats is answered by the server, not the engine")
-  | P.Mixing { game; n; beta; eps; replicas; seed } -> (
-      match entry t ~game ~n ~beta with
-      | Error msg -> Error (P.Bad_request msg)
-      | Ok e -> Ok (eval_mixing t e ~eps ~replicas ~seed))
+  | P.Mixing { game; n; beta; eps; replicas; seed } ->
+      Result.bind (check_eps eps) (fun () ->
+          match entry t ~game ~n ~beta with
+          | Error msg -> Error (P.Bad_request msg)
+          | Ok e -> Ok (eval_mixing t e ~eps ~replicas ~seed))
   | P.Stationary { game; n; beta } -> (
       match entry t ~game ~n ~beta with
       | Error msg -> Error (P.Bad_request msg)

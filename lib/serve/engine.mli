@@ -100,6 +100,13 @@ val empirical_of :
 val mixing_reply_of :
   t -> entry -> tmix:int option -> replicas:int -> seed:int -> Protocol.reply
 
+(** [check_eps eps] is [Ok ()] when [eps > 0.] and a [Bad_request]
+    otherwise: d(t) ≥ 0, so a zero, negative or NaN threshold is never
+    met and its sweep would run the whole step budget. {!eval} and
+    the scheduler's Mixing grouping answer with it before building
+    anything. *)
+val check_eps : float -> (unit, Protocol.error) result
+
 (** [eval t q] answers a single query serially. [Stats] is not an
     engine query (the server owns the counters) and returns
     [Server_error]. *)

@@ -218,19 +218,24 @@ let run_batch engine stats jobs =
     if n > stats.max_batch then stats.max_batch <- n;
     let out = Array.make n (Error (P.Server_error "unprocessed")) in
     (* Coalesce mixing queries by (game, n) — cross-β — so a β-grid's
-       worth of requests shares one index-structure traversal;
-       everything else is evaluated serially in arrival order. *)
+       worth of requests shares one index-structure traversal; a
+       mixing query whose eps the engine rejects is answered at once
+       and joins no group. Everything else is evaluated serially in
+       arrival order. *)
     let groups = Hashtbl.create 8 in
     let order = ref [] in
     Array.iteri
       (fun pos job ->
         match job.query with
-        | P.Mixing { game; n = players; beta; eps; replicas; seed } ->
-            let key = (game, players) in
-            if not (Hashtbl.mem groups key) then order := key :: !order;
-            Hashtbl.replace groups key
-              ((pos, job, eps, replicas, seed, beta)
-              :: (try Hashtbl.find groups key with Not_found -> []))
+        | P.Mixing { game; n = players; beta; eps; replicas; seed } -> (
+            match Engine.check_eps eps with
+            | Error err -> out.(pos) <- Error err
+            | Ok () ->
+                let key = (game, players) in
+                if not (Hashtbl.mem groups key) then order := key :: !order;
+                Hashtbl.replace groups key
+                  ((pos, job, eps, replicas, seed, beta)
+                  :: (try Hashtbl.find groups key with Not_found -> [])))
         | q ->
             out.(pos) <-
               (if expired job then Error P.Deadline_exceeded

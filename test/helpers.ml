@@ -51,8 +51,8 @@ let panel_row (p : Markov.Chain.panel) ~n r =
   Array.init n (fun i -> Bigarray.Array1.get p ((r * n) + i))
 
 (* Source vectors for the evolve-kernel tests: a fair share of exact
-   zeros exercises the zero-mass skip the gather shares with the
-   reference scatter. *)
+   zeros, which the reference scatter skips and the gather adds as
+   +0. summands. *)
 let random_sparse_vector r n =
   Array.init n (fun _ -> if Prob.Rng.float r < 0.4 then 0. else Prob.Rng.float r)
 

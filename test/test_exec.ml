@@ -245,8 +245,41 @@ let equiv_spmm =
 (* Panels taller than one L2 block: the gather splits rows into several
    blocks and, pooled, each block into destination ranges. Solo and
    fused two-plane calls must match the serial 1-row evolve of every
-   row, for pools 1, 2 and 4. *)
+   row, for pools 1, 2 and 4. A synthetic 10 000-state chain, past the
+   8 192 states where the L2 budget holds fewer than four rows, runs
+   on the 4-row block floor: 11 rows are two full tiles and a 3-row
+   block of leftover rows. *)
 let equiv_spmm_multi_block () =
+  let wide =
+    let n = 10_000 in
+    let rng = Prob.Rng.create 9 in
+    Markov.Chain.of_rows
+      (Array.init n (fun i ->
+           let w = Array.init 3 (fun _ -> 0.1 +. Prob.Rng.float rng) in
+           let total = Array.fold_left ( +. ) 0. w in
+           [|
+             (i, w.(0) /. total);
+             (((7 * i) + 1) mod n, w.(1) /. total);
+             (((13 * i) + 5) mod n, w.(2) /. total);
+           |]))
+  in
+  let wide_n = Markov.Chain.size wide in
+  let wide_k = 11 in
+  let wide_rows =
+    let rng = Prob.Rng.create 10 in
+    Array.init wide_k (fun _ -> random_sparse_vector rng wide_n)
+  in
+  let wide_want = Array.map (Markov.Chain.evolve wide) wide_rows in
+  check_true "past 8 192 states: 4-row blocks = 1-row evolves"
+    (for_all_pool_sizes (fun pool ->
+         let dst = panel_create (wide_k * wide_n) in
+         Markov.Chain.evolve_many_into ~pool wide ~k:wide_k
+           ~src:(panel_of_rows wide_rows) ~dst;
+         let ok = ref true in
+         Array.iteri
+           (fun i e -> if panel_row dst ~n:wide_n i <> e then ok := false)
+           wide_want;
+         !ok));
   let game = ring_game 6 in
   let betas = [ 0.5; 1.5 ] in
   let fam = Logit.Logit_dynamics.chain_family game ~betas in

@@ -191,7 +191,7 @@ let csr_prob_binary_search =
    contract of the whole kernel against the scatter it replaced: the
    stationary law and a random distribution, every point mass (single
    source per column contribution), and sparse unnormalised vectors,
-   which exercise the zero-mass skip. *)
+   whose zeros the scatter skips and the gather adds as +0. summands. *)
 let csr_evolve_bit_identical =
   QCheck.Test.make ~name:"CSR evolve bit-identical to pre-CSR row scan"
     ~count:20
@@ -303,7 +303,10 @@ let csc_invariants_random =
    here as [legacy_evolve], through both entry points: [Chain.evolve]
    and a 1-row panel of [evolve_many_into]. Inputs are the stationary
    law, every point mass (single-source column contributions), and
-   sparse unnormalised vectors, which exercise the zero-mass skip. *)
+   sparse unnormalised vectors, whose zeros the scatter skipped and the
+   gather adds as +0. summands. Two 9-row panels over the same inputs
+   (two full 4-row tiles plus one leftover row each) pin the tile to
+   the scatter as well. *)
 let pull_matches_push =
   QCheck.Test.make
     ~name:"pull evolve bit-identical to push (incl. zero-mass sources)"
@@ -323,7 +326,16 @@ let pull_matches_push =
         List.init n (fun i -> Array.init n (fun j -> if j = i then 1. else 0.))
       in
       let sparse = List.init 5 (fun _ -> random_sparse_vector r n) in
-      List.for_all agree ((pi :: point_masses) @ sparse))
+      let inputs = Array.of_list ((pi :: point_masses) @ sparse) in
+      let k = 9 in
+      let tiled p =
+        let rows = Array.init k (fun i -> inputs.(((k * p) + i) mod Array.length inputs)) in
+        let dst = panel_create (k * n) in
+        Chain.evolve_many_into chain ~k ~src:(panel_of_rows rows) ~dst;
+        Array.for_all Fun.id
+          (Array.mapi (fun i row -> panel_row dst ~n i = legacy_evolve chain row) rows)
+      in
+      Array.for_all agree inputs && tiled 0 && tiled 1)
 
 let spmm_matches_single_evolves =
   QCheck.Test.make

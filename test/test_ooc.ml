@@ -331,6 +331,51 @@ let evolve_many_bit_identity () =
               Exec.Pool.with_pool ~domains (fun pool -> run (Some pool)))
             [ 2; 4 ]))
 
+(* Signed sources: the gathers skip nothing, so on vectors with
+   negative entries, exact zeros and negative zeros they are the plain
+   linear map. [Chain.evolve], a 5-row in-RAM panel (one 4-row tile
+   plus one leftover row) and the segment kernel must each equal a
+   dense product over every source, summed in ascending order; the
+   structural zeros of that product add ±0. and change no bits. *)
+let signed_panels_are_linear () =
+  with_tmp (fun dir ->
+      let rows, chain = random_chain ~seed:43 ~n:41 () in
+      let n = Chain.size chain in
+      let path, _ = pack_rows dir "t.seg" ~block_nnz:8 rows in
+      let r = rng ~seed:83 () in
+      let k = 5 in
+      let src_rows =
+        Array.init k (fun _ ->
+            Array.init n (fun _ ->
+                let u = Prob.Rng.float r in
+                if u < 0.2 then 0. else if u < 0.3 then -0. else (2. *. Prob.Rng.float r) -. 1.))
+      in
+      let dense v =
+        Array.init n (fun j ->
+            let acc = ref 0. in
+            for i = 0 to n - 1 do
+              acc := !acc +. (v.(i) *. Chain.prob chain i j)
+            done;
+            !acc)
+      in
+      let expected = Array.map dense src_rows in
+      let check_panel what dst =
+        Array.iteri
+          (fun i want -> check_bits (Printf.sprintf "%s row %d" what i) want (panel_row dst ~n i))
+          expected
+      in
+      Array.iteri
+        (fun i v -> check_bits (Printf.sprintf "evolve row %d" i) expected.(i) (Chain.evolve chain v))
+        src_rows;
+      let src = panel_of_rows src_rows in
+      let in_ram = panel_create (k * n) in
+      Chain.evolve_many_into chain ~k ~src ~dst:in_ram;
+      check_panel "in-RAM panel" in_ram;
+      with_open_seg path (fun seg ->
+          let dst = panel_create (k * n) in
+          Schain.evolve_many_into (Schain.of_segment seg) ~k ~src ~dst;
+          check_panel "segment panel" dst))
+
 let evolve_argument_checks () =
   with_tmp (fun dir ->
       let rows, _ = random_chain ~seed:37 ~n:9 () in
@@ -437,6 +482,7 @@ let suites =
       [
         test "evolve bit identity" evolve_bit_identity;
         test "evolve_many bit identity" evolve_many_bit_identity;
+        test "signed panels are linear" signed_panels_are_linear;
         test "argument checks" evolve_argument_checks;
         test "kernel entry points" kernel_entry_points;
       ] );

@@ -308,6 +308,27 @@ let spectral_group_identity () =
   check "no panel steps spent" true (stats.Serve.Scheduler.panel_steps = 0);
   check "bit-identical to serial" true (outcomes = reference)
 
+(* Thresholds that d(t) >= 0 never meets. *)
+let bad_epsilons = [ 0.; -0.; -0.25; nan; neg_infinity ]
+
+let is_bad_request = function Error (P.Bad_request _) -> true | _ -> false
+
+(* A bad eps is answered in place and joins no group: its valid
+   neighbours of the same (game, n), one β and two, still settle with
+   their serial answers. The short budget keeps a regression (a bad
+   eps swept to the end) from stalling the suite. *)
+let nonpositive_eps_batch () =
+  let mixing beta eps = P.Mixing { game = "ring"; n = 6; beta; eps; replicas = 0; seed = 1 } in
+  let good = [ mixing 1.0 0.25; mixing 0.5 0.25 ] in
+  let queries = good @ List.map (mixing 1.0) bad_epsilons in
+  let reference = serial_outcomes good in
+  let engine = Serve.Engine.create ~spectral_cutoff:0 ~max_steps:200 () in
+  let stats = Serve.Scheduler.stats_zero () in
+  let outcomes = Serve.Scheduler.run_batch engine stats (jobs_of queries) |> List.map snd in
+  check "valid queries = serial" true (List.filteri (fun i _ -> i < 2) outcomes = reference);
+  check "every bad eps is Bad_request" true
+    (List.for_all is_bad_request (List.filteri (fun i _ -> i >= 2) outcomes))
+
 (* --- Symmetry-reduced start sets ------------------------------------------ *)
 
 let reduction_epsilons = [ 0.1; 0.25 ]
@@ -413,6 +434,24 @@ let reduced_equals_full () =
      take every n), 3 beta, 2 eps. *)
   check "every grid point compared" true (!compared = 48 * 3 * 2);
   check "hit_tmix compared on most points" true (!hitting > 100)
+
+(* The engine rejects a bad eps before it builds a chain, whatever the
+   route. *)
+let nonpositive_eps_rejected () =
+  List.iter
+    (fun spectral_cutoff ->
+      let engine = Serve.Engine.create ~spectral_cutoff ~max_steps:200 () in
+      List.iter
+        (fun eps ->
+          check
+            (Printf.sprintf "eps=%g is Bad_request" eps)
+            true
+            (is_bad_request
+               (Serve.Engine.eval engine
+                  (P.Mixing { game = "ring"; n = 6; beta = 1.0; eps; replicas = 0; seed = 1 }))))
+        bad_epsilons;
+      check "no chain built" true (Serve.Engine.cache_stats engine = (0, 0)))
+    [ 0; Serve.Engine.default_spectral_cutoff ]
 
 (* Four β of one (game, n) in one batch: a family group, whose shared
    start set must give each β its serial answer and the all-starts
@@ -610,11 +649,13 @@ let suites =
         Alcotest.test_case "spectral group = serial" `Quick spectral_group_identity;
         Alcotest.test_case "family group on orbit starts = serial" `Quick
           family_group_reduced;
+        Alcotest.test_case "eps not > 0 is Bad_request" `Quick nonpositive_eps_batch;
       ] );
     ( "serve.engine",
       [
         Alcotest.test_case "orbit-start answers = all-starts answers" `Quick
           reduced_equals_full;
+        Alcotest.test_case "eps not > 0 is Bad_request" `Quick nonpositive_eps_rejected;
       ] );
     ( "serve.server",
       [
