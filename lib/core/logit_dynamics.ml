@@ -115,6 +115,73 @@ let trajectory rng game ~beta ~start ~steps =
   done;
   out
 
+(* The tabulated sampler. σᵢ(·|x) depends only on (x, i), so slot
+   [x * n + i] keeps the array [update_distribution] returns for it, the
+   total [Rng.categorical] would fold over it, and [x] with player i's
+   strategy set to 0 (the base: [replace x i a] is base + a·stride_i).
+   A slot is filled on its first visit; until then it holds the empty
+   array, which no filled slot can hold ([categorical_total] rejects
+   it). A draw is then the [Rng.int] / [Rng.float] / [categorical_pick]
+   sequence of [step] over the very same floats, so [walk] and
+   [trajectory] agree bit for bit, exceptions included. *)
+type sampler = {
+  game : Game.t;
+  beta : float;
+  space : Strategy_space.t;
+  players : int;
+  strides : int array;
+  sigmas : float array array;
+  totals : float array;
+  bases : int array;
+}
+
+let sampler game ~beta =
+  let space = Game.space game in
+  let players = Strategy_space.num_players space in
+  let slots = Game.size game * players in
+  (* Profile 0 plays strategy 0 everywhere, so moving player i to
+     strategy 1 adds exactly stride_i; a one-strategy player never
+     moves. *)
+  let stride i =
+    if Strategy_space.num_strategies space i < 2 then 0
+    else Strategy_space.replace space 0 i 1
+  in
+  {
+    game;
+    beta;
+    space;
+    players;
+    strides = Array.init players stride;
+    sigmas = Array.make slots [||];
+    totals = Array.make slots 0.;
+    bases = Array.make slots 0;
+  }
+
+let fill s ~slot ~player x =
+  let sigma = update_distribution s.game ~beta:s.beta ~player x in
+  s.totals.(slot) <- Prob.Rng.categorical_total sigma;
+  s.bases.(slot) <- Strategy_space.replace s.space x player 0;
+  s.sigmas.(slot) <- sigma
+
+let walk s rng ~start ~steps =
+  if steps < 0 then invalid_arg "Logit_dynamics.walk: negative steps";
+  if start < 0 || start >= Strategy_space.size s.space then
+    invalid_arg "Logit_dynamics.walk: start outside the state space";
+  let out = Array.make (steps + 1) start in
+  let x = ref start in
+  for k = 1 to steps do
+    let player = Prob.Rng.int rng s.players in
+    let slot = (!x * s.players) + player in
+    if Array.length s.sigmas.(slot) = 0 then fill s ~slot ~player !x;
+    let a =
+      Prob.Rng.categorical_pick s.sigmas.(slot)
+        ~u:(Prob.Rng.float rng *. s.totals.(slot))
+    in
+    x := s.bases.(slot) + (a * s.strides.(player));
+    out.(k) <- !x
+  done;
+  out
+
 let best_response_probability game ~beta idx =
   let space = Game.space game in
   let n = Strategy_space.num_players space in

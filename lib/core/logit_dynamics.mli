@@ -48,6 +48,41 @@ val step : Prob.Rng.t -> Games.Game.t -> beta:float -> int -> int
 val trajectory :
   Prob.Rng.t -> Games.Game.t -> beta:float -> start:int -> steps:int -> int array
 
+(** {1 Tabulated sampling}
+
+    σ_i(· | x) depends only on the profile x and the player i, so a
+    long-lived caller that simulates one (game, β) again and again can
+    keep it instead of recomputing it at every step. *)
+
+(** A sampler for one game at one β: a slot per (profile, player)
+    holding σ_i(· | x), its total and x with i's strategy set to 0
+    (from which a move to strategy a is one multiply-add), each filled
+    on its first visit. Memory is three words
+    per slot, Θ(|S|·n), allocated up front, plus Θ(Σ_i m_i) floats per
+    profile visited, so Θ(|S|·Σ_i m_i) once every profile has been
+    visited: under the daemon's cap of 2¹⁶ profiles that is at most
+    about 48 MB (16 binary players). {!trajectory} needs no table and
+    stays the sampler for games of any size. A sampler is mutable and
+    is not safe to share between domains. *)
+type sampler
+
+(** [sampler game ~beta] is an empty sampler; it computes nothing and
+    validates nothing until it is walked. *)
+val sampler : Games.Game.t -> beta:float -> sampler
+
+(** [walk s rng ~start ~steps] is [trajectory rng game ~beta ~start
+    ~steps] for the [game] and [beta] of [s], bit for bit, from the
+    same [rng] state, which it leaves in the same state: every step
+    draws [Rng.int n] and then [Rng.float], and picks a strategy with
+    {!Prob.Rng.categorical_pick} over the very array
+    {!update_distribution} returns and the total
+    {!Prob.Rng.categorical_total} folds over it. A slot is filled when
+    a step first visits it, so an error ([beta < 0], invalid weights)
+    is raised at the same step as {!trajectory} raises it. Raises
+    [Invalid_argument] on negative [steps] or a [start] outside the
+    state space. *)
+val walk : sampler -> Prob.Rng.t -> start:int -> steps:int -> int array
+
 (** [best_response_probability game ~beta idx] is the probability that
     the next update is a best response: Σ_i (1/n)·Σ_{y ∈ BR_i(x)}
     σ_i(y|x). Tends to 1 as β → ∞, to the fraction of best-response

@@ -86,7 +86,7 @@ let categorical_pick weights ~u =
   end;
   !chosen
 
-let categorical t weights =
+let categorical_total weights =
   let n = Array.length weights in
   if n = 0 then invalid_arg "Rng.categorical: empty weights";
   let total = ref 0. in
@@ -96,7 +96,11 @@ let categorical t weights =
       total := !total +. w)
     weights;
   if !total <= 0. then invalid_arg "Rng.categorical: zero total weight";
-  categorical_pick weights ~u:(float t *. !total)
+  !total
+
+let categorical t weights =
+  let total = categorical_total weights in
+  categorical_pick weights ~u:(float t *. total)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -58,6 +58,16 @@ val geometric : t -> float -> int
     strictly positive sum; raises [Invalid_argument] otherwise. *)
 val categorical : t -> float array -> int
 
+(** [categorical_total weights] is the validation and the total
+    behind {!categorical}: [Σ weights] summed left to right, after
+    checking that [weights] is non-empty with no negative or NaN
+    entry; raises [Invalid_argument] otherwise, or when the total is
+    not positive. [categorical t w] is exactly
+    [categorical_pick w ~u:(float t *. categorical_total w)], so a
+    caller that keeps the total of a fixed weight array can draw from
+    it later with the same bits and the same stream. *)
+val categorical_total : float array -> float
+
 (** [categorical_pick weights ~u] is the deterministic selection core
     of {!categorical}: the first index whose running prefix sum
     exceeds the threshold [u ∈ [0, Σ weights)]. A [u] at or beyond the

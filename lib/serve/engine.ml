@@ -20,6 +20,8 @@ type entry = {
   reversible : bool;
   mutable decomposition : (float array * Linalg.Mat.t) option;
   mutable starts : int list option;
+  barrier : P.barrier option Lazy.t;
+  sampler : Logit.Logit_dynamics.sampler Lazy.t;
 }
 
 type t = {
@@ -107,6 +109,25 @@ let stationary_of ?store spec game potential ~n ~beta =
           Store.Cas.put cas key (Store.Codec.encode_dist pi);
           pi)
 
+(* φ is tabulated once: [delta_local] reads it for every neighbour of
+   every profile and [zeta] for every profile, and one evaluation of a
+   graphical game's φ is a fold over its edges. *)
+let barrier game potential =
+  match potential with
+  | None -> None
+  | Some phi ->
+      let space = Games.Game.space game in
+      let values = Array.init (Games.Game.size game) phi in
+      let phi = Array.get values in
+      Some
+        {
+          P.d_global = Games.Potential.delta_global space phi;
+          d_local = Games.Potential.delta_local space phi;
+          zeta = Logit.Barrier.zeta space phi;
+        }
+
+let barrier_of e = barrier e.game e.potential
+
 let build_entry t ~game:game_id ~n ~beta =
   match Catalog.find game_id with
   | None -> Error (Printf.sprintf "unknown game %S" game_id)
@@ -133,6 +154,8 @@ let build_entry t ~game:game_id ~n ~beta =
                 reversible;
                 decomposition = None;
                 starts = None;
+                barrier = lazy (barrier game potential);
+                sampler = lazy (Logit.Logit_dynamics.sampler game ~beta);
               }
           end)
 
@@ -202,23 +225,6 @@ let spectral_tmix e ~eps =
   let starts = if 1. -. lambda_star >= min_orbit_gap then starts e else all_starts e in
   Markov.Mixing.mixing_time_from_decomposition ~eps ~decomposition e.pi ~starts
 
-(* φ is tabulated once: [delta_local] reads it for every neighbour of
-   every profile and [zeta] for every profile, and one evaluation of a
-   graphical game's φ is a fold over its edges. *)
-let barrier_of e =
-  match e.potential with
-  | None -> None
-  | Some phi ->
-      let space = Games.Game.space e.game in
-      let values = Array.init (Games.Game.size e.game) phi in
-      let phi = Array.get values in
-      Some
-        {
-          P.d_global = Games.Potential.delta_global space phi;
-          d_local = Games.Potential.delta_local space phi;
-          zeta = Logit.Barrier.zeta space phi;
-        }
-
 let empirical_of t e ~tmix ~replicas ~seed =
   if replicas <= 0 then None
   else begin
@@ -238,7 +244,7 @@ let mixing_reply_of t e ~tmix ~replicas ~seed =
       route = (if spectral_route t e then P.Spectral else P.Panel);
       tmix;
       empirical = empirical_of t e ~tmix ~replicas ~seed;
-      barrier = barrier_of e;
+      barrier = Lazy.force e.barrier;
     }
 
 (* d(t) is never negative, so a threshold that is not > 0 (zero,
@@ -247,6 +253,22 @@ let mixing_reply_of t e ~tmix ~replicas ~seed =
 let check_eps eps =
   if eps > 0. then Ok ()
   else Error (P.Bad_request (Printf.sprintf "eps must be > 0 (got %g)" eps))
+
+(* Every int of a Simulate or Sample reply is 8 bytes on the wire and
+   the rest of either frame is under 64 bytes, so these caps keep every
+   reply inside one Protocol frame. *)
+let max_reply_ints = (P.max_frame_len - 64) / 8
+let max_simulate_steps = max_reply_ints - 1
+let max_sample_count = max_reply_ints
+
+let check_range what v ~lo ~hi =
+  if v < lo then Error (P.Bad_request (Printf.sprintf "need %s >= %d (got %d)" what lo v))
+  else if v > hi then
+    Error
+      (P.Bad_request
+         (Printf.sprintf "%s %d exceeds the cap of %d (a reply must fit one frame)"
+            what v hi))
+  else Ok ()
 
 let eval_mixing t e ~eps ~replicas ~seed =
   let tmix =
@@ -303,47 +325,42 @@ let eval t (q : P.query) : (P.reply, P.error) result =
       match entry t ~game ~n ~beta with
       | Error msg -> Error (P.Bad_request msg)
       | Ok e -> eval_hitting t e)
-  | P.Simulate { game; n; beta; steps; seed } -> (
-      match entry t ~game ~n ~beta with
-      | Error msg -> Error (P.Bad_request msg)
-      | Ok e ->
-          if steps < 0 then Error (P.Bad_request "negative steps")
-          else begin
-            let rng = Prob.Rng.create seed in
-            let traj =
-              Logit.Logit_dynamics.trajectory rng e.game ~beta ~start:0 ~steps
-            in
-            Ok (P.Simulate_r traj)
-          end)
-  | P.Sample { game; n; beta; count; seed } -> (
-      match entry t ~game ~n ~beta with
-      | Error msg -> Error (P.Bad_request msg)
-      | Ok e ->
-          if count < 1 then Error (P.Bad_request "need count >= 1")
-          else begin
-            let space = Games.Game.space e.game in
-            let binary =
-              List.init (Games.Strategy_space.num_players space) (fun i ->
-                  Games.Strategy_space.num_strategies space i)
-              |> List.for_all (( = ) 2)
-            in
-            if not binary then
-              Error (P.Bad_request "CFTP requires binary strategies")
-            else begin
+  | P.Simulate { game; n; beta; steps; seed } ->
+      Result.bind (check_range "steps" steps ~lo:0 ~hi:max_simulate_steps) (fun () ->
+          match entry t ~game ~n ~beta with
+          | Error msg -> Error (P.Bad_request msg)
+          | Ok e ->
               let rng = Prob.Rng.create seed in
-              let samples = Array.make count 0 in
-              let max_window = ref 0 in
-              match
-                for k = 0 to count - 1 do
-                  let x, window =
-                    Logit.Perfect_sampling.coalescence_epoch rng e.game ~beta
-                  in
-                  samples.(k) <- x;
-                  if window > !max_window then max_window := window
-                done
-              with
-              | () -> Ok (P.Sample_r { samples; max_window = !max_window })
-              | exception Common.No_convergence msg ->
-                  Error (P.Server_error msg)
-            end
-          end)
+              Ok
+                (P.Simulate_r
+                   (Logit.Logit_dynamics.walk (Lazy.force e.sampler) rng ~start:0
+                      ~steps)))
+  | P.Sample { game; n; beta; count; seed } ->
+      Result.bind (check_range "count" count ~lo:1 ~hi:max_sample_count) (fun () ->
+          match entry t ~game ~n ~beta with
+          | Error msg -> Error (P.Bad_request msg)
+          | Ok e ->
+              let space = Games.Game.space e.game in
+              let binary =
+                List.init (Games.Strategy_space.num_players space) (fun i ->
+                    Games.Strategy_space.num_strategies space i)
+                |> List.for_all (( = ) 2)
+              in
+              if not binary then
+                Error (P.Bad_request "CFTP requires binary strategies")
+              else begin
+                let rng = Prob.Rng.create seed in
+                let samples = Array.make count 0 in
+                let max_window = ref 0 in
+                match
+                  for k = 0 to count - 1 do
+                    let x, window =
+                      Logit.Perfect_sampling.coalescence_epoch rng e.game ~beta
+                    in
+                    samples.(k) <- x;
+                    if window > !max_window then max_window := window
+                  done
+                with
+                | () -> Ok (P.Sample_r { samples; max_window = !max_window })
+                | exception Common.No_convergence msg -> Error (P.Server_error msg)
+              end)

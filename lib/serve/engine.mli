@@ -12,10 +12,12 @@
 type t
 
 (** A built chain with everything derived from it once per (game, n,
-    beta): the stationary distribution, reversibility, and two lazily
-    cached artifacts of the first mixing or hitting query: the
-    eigendecomposition for the spectral route and the start set of
-    exact d(t) ({!starts}). *)
+    beta): the stationary distribution, reversibility, and four lazily
+    cached artifacts, each made by the first query that needs it and
+    kept across requests: the eigendecomposition for the spectral
+    route and the start set of exact d(t) ({!starts}), both of the
+    first mixing or hitting query; the barrier quantities of every
+    mixing reply; and the tabulated sampler Simulate walks. *)
 type entry = {
   spec : Catalog.spec;
   game : Games.Game.t;
@@ -25,6 +27,15 @@ type entry = {
   reversible : bool;
   mutable decomposition : (float array * Linalg.Mat.t) option;
   mutable starts : int list option;
+  barrier : Protocol.barrier option Lazy.t;
+      (** {!barrier_of} of the entry, computed by the first mixing
+          reply; every mixing reply carries it. *)
+  sampler : Logit.Logit_dynamics.sampler Lazy.t;
+      (** the entry's {!Logit.Logit_dynamics.sampler}, created by the
+          first Simulate; its slots fill as walks visit them and stay
+          filled for later requests. A Simulate reply is
+          {!Logit.Logit_dynamics.walk} over it, which is
+          {!Logit.Logit_dynamics.trajectory} bit for bit. *)
 }
 
 val default_spectral_cutoff : int
@@ -84,7 +95,9 @@ val starts : entry -> int list
     9·10⁻¹¹). *)
 val spectral_tmix : entry -> eps:float -> int option
 
-(** Potential-barrier quantities, when the game has a potential. *)
+(** Potential-barrier quantities, when the game has a potential:
+    computed afresh at every call (φ tabulated once per call). Mixing
+    replies read the entry's cached copy, [e.barrier]. *)
 val barrier_of : entry -> Protocol.barrier option
 
 (** [empirical_of t e ~tmix ~replicas ~seed] is the Monte-Carlo TV
@@ -107,9 +120,22 @@ val mixing_reply_of :
     anything. *)
 val check_eps : float -> (unit, Protocol.error) result
 
-(** [eval t q] answers a single query serially. [Stats] is not an
-    engine query (the server owns the counters) and returns
-    [Server_error]. *)
+(** The largest [steps] a Simulate query may ask for: the reply holds
+    [steps + 1] ints, 8 bytes each, and must fit one
+    {!Protocol.max_frame_len} frame. *)
+val max_simulate_steps : int
+
+(** The largest [count] a Sample query may ask for, by the same
+    bound. *)
+val max_sample_count : int
+
+(** [eval t q] answers a single query serially. A Simulate whose
+    [steps] is negative or above {!max_simulate_steps}, or a Sample
+    whose [count] is below 1 or above {!max_sample_count}, is a
+    [Bad_request] naming the bound, answered before any chain is
+    built: the answer is a function of the query alone, and no reply
+    can outgrow a frame. [Stats] is not an engine query (the server
+    owns the counters) and returns [Server_error]. *)
 val eval : t -> Protocol.query -> (Protocol.reply, Protocol.error) result
 
 (** (in-memory chain cache hits, misses) *)

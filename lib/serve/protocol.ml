@@ -359,28 +359,55 @@ let write_framed buf s =
   Buffer.add_string buf s
 
 module Reader = struct
-  type t = { mutable pending : Buffer.t }
+  (* Bytes [off, off + len) of [buf] are pending. [feed] appends after
+     them, moving them to the front first when the tail lacks room
+     (and growing [buf] by doubling when even that is not enough);
+     [next] copies a complete frame out once and advances [off]. So a
+     frame fed in any number of chunks is copied O(1) times per byte,
+     amortised. *)
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-  let create () = { pending = Buffer.create 4096 }
-  let feed t bytes ~len = Buffer.add_subbytes t.pending bytes 0 len
+  let initial = 4096
+
+  (* An emptied buffer larger than this is dropped, so one huge frame
+     does not pin its memory to the connection. *)
+  let keep_limit = 1 lsl 20
+
+  let create () = { buf = Bytes.create initial; off = 0; len = 0 }
+
+  let feed t bytes ~len =
+    if t.off + t.len + len > Bytes.length t.buf then begin
+      let need = t.len + len in
+      let dst =
+        if need <= Bytes.length t.buf then t.buf
+        else Bytes.create (Int.max need (2 * Bytes.length t.buf))
+      in
+      Bytes.blit t.buf t.off dst 0 t.len;
+      t.buf <- dst;
+      t.off <- 0
+    end;
+    Bytes.blit bytes 0 t.buf (t.off + t.len) len;
+    t.len <- t.len + len
 
   (* Pop one complete frame body (without its length prefix), if the
      buffer holds one. [Error] is sticky protocol corruption: a length
-     prefix beyond [max_frame_len] can never resynchronise. *)
+     prefix beyond [max_frame_len] can never resynchronise, and it is
+     left in place, so every later call reports it again. *)
   let next t =
-    let data = Buffer.contents t.pending in
-    let total = String.length data in
-    if total < 4 then Ok None
+    if t.len < 4 then Ok None
     else
-      let len = Int32.to_int (String.get_int32_le data 0) land 0xFFFFFFFF in
+      let len = Int32.to_int (Bytes.get_int32_le t.buf t.off) land 0xFFFFFFFF in
       if len > max_frame_len then
         Error (Printf.sprintf "frame length %d exceeds limit %d" len max_frame_len)
-      else if total < 4 + len then Ok None
+      else if t.len < 4 + len then Ok None
       else begin
-        let frame = String.sub data 4 len in
-        let rest = Buffer.create (Int.max 64 (total - 4 - len)) in
-        Buffer.add_substring rest data (4 + len) (total - 4 - len);
-        t.pending <- rest;
+        let frame = Bytes.sub_string t.buf (t.off + 4) len in
+        t.off <- t.off + 4 + len;
+        t.len <- t.len - 4 - len;
+        if t.len = 0 then begin
+          t.off <- 0;
+          if Bytes.length t.buf > keep_limit then t.buf <- Bytes.create initial
+        end;
         Ok (Some frame)
       end
 end

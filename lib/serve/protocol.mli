@@ -114,7 +114,12 @@ val max_frame_len : int
 val write_framed : Buffer.t -> string -> unit
 
 (** Incremental reader for a length-prefixed frame stream: feed raw
-    socket bytes in, pop complete frames out. *)
+    socket bytes in, pop complete frames out. The pending bytes live
+    in one buffer with a read offset: {!feed} appends (compacting or
+    growing the buffer only when its tail is full) and {!next} copies
+    each frame out once, so reading a frame in many small chunks costs
+    time linear in its length. The frames that come out do not depend
+    on how the stream was cut into chunks. *)
 module Reader : sig
   type t
 
@@ -125,6 +130,7 @@ module Reader : sig
 
   (** [next t] pops the next complete frame body, [Ok None] if more
       bytes are needed, or [Error] on an oversized length prefix
-      (unrecoverable; close the connection). *)
+      (unrecoverable and sticky: every later call returns the same
+      [Error]; close the connection). *)
   val next : t -> (string option, string) result
 end

@@ -27,8 +27,9 @@ module P = Protocol
 type client = {
   fd : Unix.file_descr;
   reader : P.Reader.t;
-  out : Buffer.t;
-  mutable out_off : int;
+  out : Buffer.t;  (* framed responses not yet taken for writing *)
+  mutable sending : string;  (* taken from [out]; written up to [sent] *)
+  mutable sent : int;
   mutable eof : bool;  (* peer closed its write side; flush then close *)
   mutable dead : bool;  (* connection failed; reap without flushing *)
 }
@@ -120,7 +121,26 @@ let stats_reply t =
       store_misses;
     }
 
-let respond c resp = P.write_framed c.out (P.encode_response resp)
+(* Frames [resp] onto [c]'s output and returns true. A reply that
+   cannot be framed (beyond Protocol.max_frame_len; the engine's caps
+   keep every engine reply inside it) goes out as a Server_error
+   instead, and [respond] returns false: the daemon never dies on a
+   reply. *)
+let respond c resp =
+  let error msg =
+    P.write_framed c.out
+      (P.encode_response { resp with P.result = Error (P.Server_error msg) });
+    false
+  in
+  match P.encode_response resp with
+  | frame when String.length frame <= P.max_frame_len ->
+      P.write_framed c.out frame;
+      true
+  | frame ->
+      error
+        (Printf.sprintf "reply of %d bytes exceeds the %d-byte frame limit"
+           (String.length frame) P.max_frame_len)
+  | exception Invalid_argument msg -> error msg
 
 (* --- the read side ---------------------------------------------------- *)
 
@@ -140,7 +160,8 @@ let accept_pass t =
               fd;
               reader = P.Reader.create ();
               out = Buffer.create 4096;
-              out_off = 0;
+              sending = "";
+              sent = 0;
               eof = false;
               dead = false;
             }
@@ -164,24 +185,25 @@ let harvest_frames t c queue =
     | Error _ ->
         (* Unrecoverable framing corruption: tell the client once and
            stop reading it. *)
-        respond c { P.req_id = 0; result = Error (P.Bad_request "corrupt frame") };
+        ignore
+          (respond c { P.req_id = 0; result = Error (P.Bad_request "corrupt frame") });
         t.counters.failed <- t.counters.failed + 1;
         c.eof <- true
     | Ok None -> ()
     | Ok (Some frame) ->
         (match P.decode_request frame with
         | Error msg ->
-            respond c { P.req_id = 0; result = Error (P.Bad_request msg) };
+            ignore (respond c { P.req_id = 0; result = Error (P.Bad_request msg) });
             t.counters.failed <- t.counters.failed + 1
         | Ok req -> (
             match req.P.query with
             | P.Stats ->
                 (* Counters are cheap and must not sit behind a heavy
                    batch: answered at read time. *)
-                respond c { P.req_id = req.P.id; result = Ok (stats_reply t) }
+                ignore (respond c { P.req_id = req.P.id; result = Ok (stats_reply t) })
             | query ->
                 if Queue.length queue >= t.max_queue then begin
-                  respond c { P.req_id = req.P.id; result = Error P.Overloaded };
+                  ignore (respond c { P.req_id = req.P.id; result = Error P.Overloaded });
                   t.counters.rejected <- t.counters.rejected + 1
                 end
                 else begin
@@ -217,22 +239,33 @@ let read_pass t c queue =
 
 (* --- the write side --------------------------------------------------- *)
 
-let pending_out c = Buffer.length c.out - c.out_off
+let pending_out c = String.length c.sending - c.sent + Buffer.length c.out
+
+(* The bytes to write next, from [c.sent] on: once [c.sending] is
+   written out, whatever [out] has gathered since is taken as the next
+   string. Each byte is copied out of [out] once, however many partial
+   writes it takes. [Buffer.clear] keeps the capacity, so a buffer that
+   held more than [out_keep_limit] bytes is reset instead: one large
+   reply does not pin its memory to the connection. *)
+let out_keep_limit = 1 lsl 20
+
+let unsent c =
+  if c.sent = String.length c.sending then begin
+    c.sending <- Buffer.contents c.out;
+    c.sent <- 0;
+    if String.length c.sending > out_keep_limit then Buffer.reset c.out
+    else Buffer.clear c.out
+  end;
+  String.length c.sending - c.sent
 
 let write_pass c =
   let rec go () =
-    let n = pending_out c in
+    let n = unsent c in
     if n > 0 then begin
-      match
-        Unix.write_substring c.fd (Buffer.contents c.out) c.out_off n
-      with
+      match Unix.write_substring c.fd c.sending c.sent n with
       | written ->
-          c.out_off <- c.out_off + written;
-          if pending_out c = 0 then begin
-            Buffer.clear c.out;
-            c.out_off <- 0
-          end
-          else if written > 0 then go ()
+          c.sent <- c.sent + written;
+          if written > 0 then go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       | exception Unix.Unix_error (_, _, _) -> c.dead <- true
@@ -250,15 +283,16 @@ let process_queue t queue =
     Queue.clear queue;
     List.iter
       (fun ((job : client Scheduler.job), outcome) ->
-        (match outcome with
-        | Ok _ -> t.counters.served <- t.counters.served + 1
+        let c = job.Scheduler.tag in
+        let framed =
+          c.dead || respond c { P.req_id = job.Scheduler.req_id; result = outcome }
+        in
+        match outcome with
+        | Ok _ when framed -> t.counters.served <- t.counters.served + 1
         | Error P.Deadline_exceeded -> t.counters.expired <- t.counters.expired + 1
         | Error P.Overloaded -> t.counters.rejected <- t.counters.rejected + 1
-        | Error (P.Bad_request _ | P.Server_error _) ->
-            t.counters.failed <- t.counters.failed + 1);
-        let c = job.Scheduler.tag in
-        if not c.dead then
-          respond c { P.req_id = job.Scheduler.req_id; result = outcome })
+        | Ok _ | Error (P.Bad_request _ | P.Server_error _) ->
+            t.counters.failed <- t.counters.failed + 1)
       (Scheduler.run_batch t.engine t.sched jobs)
   end
 
@@ -278,13 +312,11 @@ let flush_blocking c =
   if not c.dead then begin
     (try Unix.clear_nonblock c.fd with Unix.Unix_error _ -> ());
     let rec go () =
-      if pending_out c > 0 then begin
-        match
-          Unix.write_substring c.fd (Buffer.contents c.out) c.out_off
-            (pending_out c)
-        with
+      let n = unsent c in
+      if n > 0 then begin
+        match Unix.write_substring c.fd c.sending c.sent n with
         | written ->
-            c.out_off <- c.out_off + written;
+            c.sent <- c.sent + written;
             go ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
         | exception Unix.Unix_error (_, _, _) -> c.dead <- true

@@ -107,9 +107,13 @@ end
 val max_payload_bytes : int
 
 (** [frame ~kind write] runs [write] on a fresh encoder and wraps the
-    payload in the header + checksum described above. Raises
-    [Invalid_argument] if the payload exceeds {!max_payload_bytes} —
-    a typed failure, never a silently wrapped length field. *)
+    payload in the header + checksum described above. The encoder
+    writes the payload after room left for the header and keeps room
+    for the CRC, so the frame is built in the encoder's own buffer; a
+    payload that ends in one large array comes back without any copy.
+    Raises [Invalid_argument] if the payload exceeds
+    {!max_payload_bytes} — a typed failure, never a silently wrapped
+    length field. *)
 val frame : kind:kind -> (Enc.t -> unit) -> string
 
 (** [unframe ~kind s read] validates the frame (magic, version, kind,
@@ -138,5 +142,10 @@ val encode_curve : float array -> string
 val decode_curve : string -> (float array, string) result
 
 (** [crc32 ?len s] is the CRC-32 (IEEE 802.3) of the first [len] bytes
-    of [s] (default: all) — exposed for tests and for {!Cas.verify}. *)
+    of [s] (default: all) — exposed for tests and for {!Cas.verify}.
+    It is computed slicing-by-8 (eight bytes per step over eight
+    256-entry tables of native ints, then byte at a time for the last
+    [len mod 8]); the values are those of the byte-at-a-time
+    definition, so every stored checksum still verifies. Raises
+    [Invalid_argument] when [len] is negative or beyond [s]. *)
 val crc32 : ?len:int -> string -> int

@@ -101,6 +101,66 @@ let step_simulation_consistent () =
         (float_of_int c /. float_of_int n))
     counts
 
+(* The tabulated sampler is the direct one, bit for bit: the same
+   trajectory, and the generator left in the same state. One sampler
+   per (game, β) serves all eight seeds, as an engine entry serves
+   every Simulate, so later walks read slots earlier ones filled. Large
+   β drives σ entries to exact zeros. *)
+let sampler_walk_is_trajectory () =
+  let steps = 400 and compared = ref 0 in
+  let same name game ~beta =
+    let s = Logit.Logit_dynamics.sampler game ~beta in
+    for seed = 0 to 7 do
+      let start = seed mod Game.size game in
+      let direct = Prob.Rng.create seed and tabulated = Prob.Rng.create seed in
+      let want = Logit.Logit_dynamics.trajectory direct game ~beta ~start ~steps in
+      let got = Logit.Logit_dynamics.walk s tabulated ~start ~steps in
+      check_true
+        (Printf.sprintf "%s beta=%g seed=%d" name beta seed)
+        (got = want && Prob.Rng.bits64 direct = Prob.Rng.bits64 tabulated);
+      incr compared
+    done
+  in
+  let betas = [ 0.; 0.5; 2.; 50.; 1000. ] in
+  List.iter
+    (fun spec ->
+      for n = 0 to 6 do
+        match spec.Serve.Catalog.build ~n ~beta:1. with
+        | exception Invalid_argument _ -> ()
+        | game, _ ->
+            List.iter
+              (fun beta ->
+                same (Printf.sprintf "%s n=%d" spec.Serve.Catalog.id n) game ~beta)
+              betas
+      done)
+    Serve.Catalog.all;
+  List.iter
+    (fun (name, game) -> List.iter (fun beta -> same name game ~beta) betas)
+    [
+      ("pure coordination 3x3", Zoo.pure_coordination ~players:3 ~strategies:3);
+      ("rock-paper-scissors", Zoo.rock_paper_scissors);
+    ];
+  check_true "every catalog game and both zoo games compared" (!compared > 1000)
+
+(* Errors surface where the direct sampler raises them: a negative β at
+   the first step (never with no step), and bad arguments at once. *)
+let sampler_errors () =
+  let game = coordination_game () in
+  let s = Logit.Logit_dynamics.sampler game ~beta:(-1.) in
+  check_true "no step, no error"
+    (Logit.Logit_dynamics.walk s (rng ()) ~start:0 ~steps:0 = [| 0 |]);
+  check_raises_invalid "negative beta at the first step" (fun () ->
+      Logit.Logit_dynamics.walk s (rng ()) ~start:0 ~steps:1);
+  check_raises_invalid "and again on the next walk" (fun () ->
+      Logit.Logit_dynamics.walk s (rng ()) ~start:0 ~steps:1);
+  let s = Logit.Logit_dynamics.sampler game ~beta:1. in
+  check_raises_invalid "negative steps" (fun () ->
+      Logit.Logit_dynamics.walk s (rng ()) ~start:0 ~steps:(-1));
+  check_raises_invalid "start past the state space" (fun () ->
+      Logit.Logit_dynamics.walk s (rng ()) ~start:(Game.size game) ~steps:1);
+  check_raises_invalid "negative start" (fun () ->
+      Logit.Logit_dynamics.walk s (rng ()) ~start:(-1) ~steps:1)
+
 let best_response_probability_monotone () =
   let game = coordination_game () in
   let p0 = Logit.Logit_dynamics.best_response_probability game ~beta:0. 0 in
@@ -648,6 +708,8 @@ let suites =
         test "step simulation consistent" step_simulation_consistent;
         test "best-response prob monotone" best_response_probability_monotone;
         test "rejects negative beta" rejects_negative_beta;
+        test "sampler walk = trajectory, bit for bit" sampler_walk_is_trajectory;
+        test "sampler errors where trajectory does" sampler_errors;
       ] );
     ( "logit.gibbs",
       [

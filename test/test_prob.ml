@@ -59,7 +59,24 @@ let rng_categorical () =
   check_int "zero-weight never drawn" 0 counts.(1);
   check_float ~tol:0.02 "weight 1/4" 0.25 (float_of_int counts.(0) /. float_of_int n);
   check_raises_invalid "negative weight" (fun () -> Rng.categorical r [| -1.; 2. |]);
-  check_raises_invalid "zero total" (fun () -> Rng.categorical r [| 0.; 0. |])
+  check_raises_invalid "zero total" (fun () -> Rng.categorical r [| 0.; 0. |]);
+  (* The shared validation: every weight array categorical rejects,
+     categorical_total rejects too, before any draw. *)
+  List.iter
+    (fun (name, w) ->
+      let before = Rng.copy r in
+      check_raises_invalid ("total: " ^ name) (fun () -> Rng.categorical_total w);
+      check_raises_invalid ("categorical: " ^ name) (fun () -> Rng.categorical r w);
+      check_true ("no draw on " ^ name) (Rng.bits64 before = Rng.bits64 r))
+    [
+      ("empty", [||]);
+      ("negative", [| 1.; -0.5 |]);
+      ("nan", [| nan; 1. |]);
+      ("zero total", [| 0.; 0. |]);
+    ];
+  check_true "total is the left fold, bit for bit"
+    (Int64.bits_of_float (Rng.categorical_total [| 0.1; 0.2; 0.3 |])
+    = Int64.bits_of_float (0.1 +. 0.2 +. 0.3))
 
 let rng_categorical_boundaries () =
   (* The deterministic selection core, driven by explicit thresholds. *)
@@ -80,8 +97,7 @@ let rng_categorical_boundaries () =
   let a = rng () and b = rng () in
   for _ = 1 to 1_000 do
     let direct = Rng.categorical a w in
-    let total = Array.fold_left ( +. ) 0. w in
-    let picked = Rng.categorical_pick w ~u:(Rng.float b *. total) in
+    let picked = Rng.categorical_pick w ~u:(Rng.float b *. Rng.categorical_total w) in
     check_int "categorical = pick of scaled uniform" picked direct
   done
 

@@ -193,6 +193,60 @@ let reader_rejects_oversized_prefix () =
   P.Reader.feed reader (Bytes.make 8 '\x00') ~len:8;
   check "error is sticky" true (Result.is_error (P.Reader.next reader))
 
+(* One stream, read whole, byte by byte and in random chunks: the same
+   frames come out. The stream mixes small requests with an 8 KB
+   Simulate reply and an 800 KB one, and ends in a bad length prefix,
+   which stays an Error once the good frames are out. *)
+let reader_chunking_invariant () =
+  let frames =
+    List.mapi
+      (fun i query -> P.encode_request { P.id = i; deadline_ms = None; query })
+      all_queries
+    @ List.map
+        (fun len ->
+          let traj = Array.init len (fun t -> t * 7) in
+          P.encode_response { P.req_id = len; result = Ok (P.Simulate_r traj) })
+        [ 1001; 100_000 ]
+  in
+  let buf = Buffer.create 4096 in
+  List.iter (P.write_framed buf) frames;
+  Buffer.add_int32_le buf (Int32.of_int (P.max_frame_len + 1));
+  let stream = Buffer.to_bytes buf in
+  let total = Bytes.length stream in
+  let read ~chunk =
+    let reader = P.Reader.create () in
+    let out = ref [] and err = ref None and off = ref 0 in
+    while !off < total do
+      let len = Int.min (chunk ()) (total - !off) in
+      P.Reader.feed reader (Bytes.sub stream !off len) ~len;
+      off := !off + len;
+      let rec drain () =
+        match P.Reader.next reader with
+        | Ok (Some frame) ->
+            out := frame :: !out;
+            drain ()
+        | Ok None -> ()
+        | Error msg -> err := Some msg
+      in
+      drain ()
+    done;
+    P.Reader.feed reader (Bytes.make 8 '\x00') ~len:8;
+    (List.rev !out, !err, Result.is_error (P.Reader.next reader))
+  in
+  let r = Prob.Rng.create 5 in
+  List.iter
+    (fun (name, chunk) ->
+      let got, err, sticky = read ~chunk in
+      check (name ^ ": every frame, in order") true (got = frames);
+      check (name ^ ": the bad prefix is an Error") true (Option.is_some err);
+      check (name ^ ": and it stays one") true sticky)
+    [
+      ("whole", fun () -> total);
+      ("byte by byte", fun () -> 1);
+      ("random chunks", fun () -> 1 + Prob.Rng.int r 70_000);
+      ("small random chunks", fun () -> 1 + Prob.Rng.int r 13);
+    ]
+
 (* --- Scheduler ----------------------------------------------------------- *)
 
 (* 8 same-chain mixing queries with distinct eps (one with an
@@ -453,6 +507,109 @@ let nonpositive_eps_rejected () =
       check "no chain built" true (Serve.Engine.cache_stats engine = (0, 0)))
     [ 0; Serve.Engine.default_spectral_cutoff ]
 
+(* Every Simulate reply is the direct sampler's trajectory, for every
+   catalog entry at n <= 5: the entry's tabulated sampler, reused
+   across seeds and across repeats of one seed, draws the same bits.
+   Mixing replies on the same entries carry the cached barrier, which
+   equals a fresh [barrier_of]. *)
+let simulate_equals_trajectory () =
+  let engine = Serve.Engine.create () in
+  let compared = ref 0 in
+  List.iter
+    (fun spec ->
+      let game = spec.Serve.Catalog.id in
+      for n = 0 to 5 do
+        List.iter
+          (fun beta ->
+            match Serve.Engine.entry engine ~game ~n ~beta with
+            | Error _ -> ()
+            | Ok e ->
+                List.iter
+                  (fun (seed, steps) ->
+                    let want =
+                      Logit.Logit_dynamics.trajectory (Prob.Rng.create seed)
+                        e.Serve.Engine.game ~beta ~start:0 ~steps
+                    in
+                    let got =
+                      Serve.Engine.eval engine (P.Simulate { game; n; beta; steps; seed })
+                    in
+                    check
+                      (Printf.sprintf "%s n=%d beta=%g seed=%d steps=%d" game n beta
+                         seed steps)
+                      true
+                      (got = Ok (P.Simulate_r want));
+                    incr compared)
+                  [ (0, 0); (0, 1000); (1, 1000); (0, 1000); (7, 3000) ];
+                let mixing =
+                  P.Mixing { game; n; beta; eps = 0.25; replicas = 0; seed = 1 }
+                in
+                for _ = 1 to 2 do
+                  match Serve.Engine.eval engine mixing with
+                  | Ok (P.Mixing_r m) ->
+                      check
+                        (Printf.sprintf "%s n=%d beta=%g: cached barrier" game n beta)
+                        true
+                        (m.P.barrier = Serve.Engine.barrier_of e)
+                  | _ -> Alcotest.fail "mixing query failed"
+                done)
+          [ 0.5; 1.; 2. ]
+      done)
+    Serve.Catalog.all;
+  check "every catalog entry compared" true (!compared > 150)
+
+let names_cap cap = function
+  | Error (P.Bad_request msg) -> Helpers.contains_substring msg (string_of_int cap)
+  | _ -> false
+
+(* Simulate steps and Sample counts are capped so every reply fits one
+   frame: over the cap is a Bad_request naming it, answered before any
+   chain is built; at the cap the query gets past the check (here to
+   the unknown-game error). The frame arithmetic behind the caps is
+   checked on small replies: 8 bytes per int. *)
+let reply_caps () =
+  let engine = Serve.Engine.create () in
+  let eval = Serve.Engine.eval engine in
+  let simulate ?(game = "ring") steps =
+    P.Simulate { game; n = 4; beta = 1.; steps; seed = 0 }
+  in
+  let sample ?(game = "ring") count =
+    P.Sample { game; n = 4; beta = 1.; count; seed = 0 }
+  in
+  let steps_cap = Serve.Engine.max_simulate_steps
+  and count_cap = Serve.Engine.max_sample_count in
+  check "steps cap + 1 names the cap" true
+    (names_cap steps_cap (eval (simulate (steps_cap + 1))));
+  check "9 000 000 steps names the cap" true
+    (names_cap steps_cap (eval (simulate 9_000_000)));
+  check "negative steps" true (is_bad_request (eval (simulate (-1))));
+  check "count cap + 1 names the cap" true
+    (names_cap count_cap (eval (sample (count_cap + 1))));
+  check "count 0" true (is_bad_request (eval (sample 0)));
+  check "no chain built" true (Serve.Engine.cache_stats engine = (0, 0));
+  let unknown = function
+    | Error (P.Bad_request msg) -> Helpers.contains_substring msg "unknown game"
+    | _ -> false
+  in
+  check "steps at the cap pass the check" true
+    (unknown (eval (simulate ~game:"nope" steps_cap)));
+  check "count at the cap passes the check" true
+    (unknown (eval (sample ~game:"nope" count_cap)));
+  let frame_len reply =
+    String.length (P.encode_response { P.req_id = max_int; result = Ok reply })
+  in
+  let simulate_len k = frame_len (P.Simulate_r (Array.make k max_int)) in
+  let sample_len k =
+    frame_len (P.Sample_r { samples = Array.make k max_int; max_window = max_int })
+  in
+  check "8 bytes per trajectory int" true (simulate_len 2 - simulate_len 1 = 8);
+  check "8 bytes per sample" true (sample_len 2 - sample_len 1 = 8);
+  check "the longest trajectory fits a frame" true
+    (simulate_len 1 + (8 * steps_cap) <= P.max_frame_len);
+  check "the most samples fit a frame" true
+    (sample_len 1 + (8 * (count_cap - 1)) <= P.max_frame_len);
+  check "the caps are tight" true
+    (simulate_len 1 + (8 * (steps_cap + 8)) > P.max_frame_len)
+
 (* Four β of one (game, n) in one batch: a family group, whose shared
    start set must give each β its serial answer and the all-starts
    panel answer. *)
@@ -621,6 +778,47 @@ let corrupt_bytes_get_bad_request () =
   | Ok _ -> Alcotest.fail "expected an id-0 Bad_request"
   | Error msg -> Alcotest.failf "undecodable response: %s" msg
 
+(* An over-cap Simulate gets a Bad_request naming the cap, and the
+   same connection is answered again afterwards: the daemon survives.
+   In between, a 1.6 MB Simulate reply takes the server's output past
+   the size at which it resets its buffer; the replies on either side
+   of that reset arrive whole. *)
+let over_cap_then_stationary () =
+  with_server @@ fun ~socket_path _server ->
+  let c =
+    match Serve.Client.connect ~socket_path with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "connect: %s" msg
+  in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let over =
+    P.Simulate { game = "ring"; n = 4; beta = 1.; steps = 9_000_000; seed = 0 }
+  in
+  (match Serve.Client.call c over with
+  | Ok result ->
+      check "over-cap Simulate names the cap" true
+        (names_cap Serve.Engine.max_simulate_steps result)
+  | Error msg -> Alcotest.failf "over-cap Simulate: %s" msg);
+  let steps = 200_000 in
+  let game = Serve.Catalog.find "ring" |> Option.get in
+  let want =
+    Logit.Logit_dynamics.trajectory (Prob.Rng.create 3)
+      (fst (game.Serve.Catalog.build ~n:4 ~beta:1.))
+      ~beta:1. ~start:0 ~steps
+  in
+  (match
+     Serve.Client.call c (P.Simulate { game = "ring"; n = 4; beta = 1.; steps; seed = 3 })
+   with
+  | Ok result ->
+      check "a 1.6 MB Simulate reply arrives whole" true
+        (result = Ok (P.Simulate_r want))
+  | Error msg -> Alcotest.failf "large Simulate: %s" msg);
+  match Serve.Client.call c (P.Stationary { game = "ring"; n = 4; beta = 1. }) with
+  | Ok (Ok (P.Stationary_r pi)) ->
+      check "then Stationary is answered" true (Array.length pi = 16)
+  | Ok _ -> Alcotest.fail "Stationary after the over-cap query was not answered"
+  | Error msg -> Alcotest.failf "Stationary after the over-cap query: %s" msg
+
 let suites =
   [
     ( "serve.cli-flags",
@@ -637,6 +835,8 @@ let suites =
           reader_reassembles_byte_by_byte;
         Alcotest.test_case "reader rejects oversized prefix" `Quick
           reader_rejects_oversized_prefix;
+        Alcotest.test_case "reader: whole = byte by byte = random chunks" `Quick
+          reader_chunking_invariant;
       ] );
     ( "serve.scheduler",
       [
@@ -656,6 +856,9 @@ let suites =
         Alcotest.test_case "orbit-start answers = all-starts answers" `Quick
           reduced_equals_full;
         Alcotest.test_case "eps not > 0 is Bad_request" `Quick nonpositive_eps_rejected;
+        Alcotest.test_case "Simulate = trajectory on every catalog entry" `Quick
+          simulate_equals_trajectory;
+        Alcotest.test_case "Simulate and Sample caps" `Quick reply_caps;
       ] );
     ( "serve.server",
       [
@@ -665,5 +868,7 @@ let suites =
           drain_answers_in_flight;
         Alcotest.test_case "corrupt bytes get Bad_request" `Quick
           corrupt_bytes_get_bad_request;
+        Alcotest.test_case "over-cap Simulate, then Stationary" `Quick
+          over_cap_then_stationary;
       ] );
   ]

@@ -125,7 +125,48 @@ let inspect_reports_kind () =
 
 let crc32_check_value () =
   (* The standard CRC-32 (IEEE 802.3) check value. *)
-  check_int "crc32(\"123456789\")" 0xCBF43926 (Store.Codec.crc32 "123456789")
+  check_int "crc32(\"123456789\")" 0xCBF43926 (Store.Codec.crc32 "123456789");
+  check_int "crc32 of nothing" 0 (Store.Codec.crc32 "");
+  check_raises_invalid "len past the end" (fun () -> Store.Codec.crc32 ~len:4 "abc");
+  check_raises_invalid "negative len" (fun () -> Store.Codec.crc32 ~len:(-1) "abc")
+
+(* The oracle: the byte-at-a-time CRC-32 over a boxed Int32 table that
+   the codec used before it sliced by 8. *)
+let oracle_table =
+  lazy
+    (Array.init 256 (fun n ->
+         let c = ref (Int32.of_int n) in
+         for _ = 0 to 7 do
+           if Int32.logand !c 1l <> 0l then
+             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+           else c := Int32.shift_right_logical !c 1
+         done;
+         !c))
+
+let oracle_crc32 s ~len =
+  let table = Lazy.force oracle_table in
+  let c = ref 0xFFFFFFFFl in
+  for i = 0 to len - 1 do
+    let idx = Int32.to_int (Int32.logand !c 0xFFl) lxor Char.code s.[i] in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFFFFFF
+
+(* Every prefix of strings of 0-64 bytes and of a few KB: each length
+   mod 8, so the eight-byte body and the tail loop both run, alone and
+   together. *)
+let qcheck_crc32_oracle =
+  QCheck.Test.make ~name:"crc32 = the byte-at-a-time oracle at every prefix" ~count:120
+    QCheck.(
+      string_gen_of_size
+        Gen.(frequency [ (5, int_range 0 64); (1, int_range 1024 3072) ])
+        Gen.char)
+    (fun s ->
+      let ok = ref true in
+      for len = 0 to String.length s do
+        if Store.Codec.crc32 ~len s <> oracle_crc32 s ~len then ok := false
+      done;
+      !ok && Store.Codec.crc32 s = oracle_crc32 s ~len:(String.length s))
 
 (* ---------------- Codec: the u32 frame bound ---------------- *)
 
@@ -639,6 +680,7 @@ let suites =
         test "crc32 matches the IEEE check value" crc32_check_value;
         test "u32 encoding is bounds-typed" u32_bound_is_typed;
         test "oversized length prefixes are rejected" oversized_prefix_rejected;
+        qcheck qcheck_crc32_oracle;
       ] );
     ( "store.chain-codec",
       [
